@@ -53,7 +53,6 @@ class Database:
         self._append_latches: Dict[str, threading.Lock] = {}
         self._latch_guard = threading.Lock()
         self.transactions = TransactionManager()
-        self._executor = Executor(self.tables, self.cost_model)
 
     # ------------------------------------------------------------------
     # Schema helpers (programmatic alternative to CREATE TABLE SQL)
@@ -132,12 +131,13 @@ class Database:
             self.faults.on_db_query()
         transaction = self.transactions.current(self._txn_key(connection_id))
         undo = transaction.undo if transaction is not None else None
+        executor = Executor(self.tables, self.cost_model, undo)
         needs = self._lock_needs(statement)
         with LockScope(self.locks, needs):
             if isinstance(statement, Insert):
                 with self._append_latch(statement.table):
-                    return self._executor.execute(statement, params, undo=undo)
-            return self._executor.execute(statement, params, undo=undo)
+                    return executor.execute(statement, params)
+            return executor.execute(statement, params)
 
     def _rollback(self, connection_id: Optional[int]) -> int:
         """Roll back under exclusive locks on every touched table (undo

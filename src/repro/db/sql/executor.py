@@ -70,24 +70,27 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
 
 
 class Executor:
-    """Executes AST statements against a dict of tables.
+    """Executes one AST statement against a dict of tables.
 
-    The executor holds no locks itself; :class:`repro.db.engine.Database`
-    wraps each call in the appropriate :class:`LockScope`.
+    The instance carries that statement's state — its running cost,
+    the active transaction's undo log, the subquery cache — so each
+    statement runs on its own executor and concurrent statements never
+    see each other's.  The executor holds no locks itself;
+    :class:`repro.db.engine.Database` wraps each call in the
+    appropriate :class:`LockScope`.
     """
 
-    def __init__(self, tables: Dict[str, Table], cost: CostModel):
+    def __init__(self, tables: Dict[str, Table], cost: CostModel,
+                 undo=None):
         self._tables = tables
         self._cost = cost
-        self._statement_cost = 0.0
-        self._undo = None  # the active transaction's UndoLog, if any
+        self._undo = undo  # the active transaction's UndoLog, if any
         self._subquery_cache: Dict[int, frozenset] = {}
+        self._statement_cost = 0.0
 
     # ------------------------------------------------------------------
-    def execute(self, statement: Statement, params: Sequence[Any] = (),
-                undo=None) -> ResultSet:
-        self._undo = undo
-        self._subquery_cache: Dict[int, frozenset] = {}
+    def execute(self, statement: Statement,
+                params: Sequence[Any] = ()) -> ResultSet:
         self._statement_cost = self._cost.charge("statement")
         if isinstance(statement, Select):
             result = self._execute_select(statement, params)
@@ -108,7 +111,6 @@ class Executor:
             )
         else:
             raise ProgrammingError(f"cannot execute {type(statement).__name__}")
-        self._undo = None
         self._cost.settle(self._statement_cost)
         return result
 

@@ -198,6 +198,11 @@ class FaultPlan:
     def pop_context(self, token: Tuple) -> None:
         self._tls.ctx = token
 
+    def set_context_page(self, page_key: str) -> None:
+        """Name the page of the current context, for a handler that
+        learns it only after the context was pushed."""
+        self._tls.ctx = (page_key, self._context()[1])
+
     def _context(self) -> Tuple[Optional[str], Optional[str]]:
         return getattr(self._tls, "ctx", (None, None))
 
@@ -211,6 +216,8 @@ class FaultPlan:
         reports stay reproducible across topologies that visit sites
         in different orders.
         """
+        if not self.rules:
+            return None
         ctx_page, ctx_stage = self._context()
         if page_key is None:
             page_key = ctx_page

@@ -135,6 +135,10 @@ class BaselineServer(PipelineServer):
             return DONE
         job.request = request
         job.page_key = page_key(request.path)
+        if self.faults is not None:
+            # The pipeline pushed the fault context before the request
+            # was read; page-filtered rules need the page from here on.
+            self.faults.set_context_page(job.page_key)
         if self.app.has_static(request.path):
             job.request_class = RequestClass.STATIC
             try:

@@ -25,8 +25,8 @@ instead of per-server binding code:
 
 The :class:`LeaseManager` owns every checkout: it wraps the raw
 :class:`~repro.db.pool.ConnectionPool` acquire/release pair (the only
-sanctioned caller outside the pool itself — ``tools/
-check_acquire_sites.py`` enforces this in CI), binds connections into
+sanctioned caller outside the pool itself — ``tools/lint.py``
+enforces this in CI), binds connections into
 the application's thread-local ``getconn()`` context, and records each
 lease's acquire wait, held time, and query-busy time into
 :class:`~repro.server.stats.ServerStats` per stage — which is how the

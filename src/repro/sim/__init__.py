@@ -1,27 +1,26 @@
-"""Discrete-event simulation of both servers at the paper's scale.
+"""Discrete-event simulation of the servers at the paper's scale.
 
 The paper's evaluation ran 400 emulated browsers against a three-host
-testbed for an hour per configuration.  Re-running that in real time is
-not reproducible on a laptop, so this package executes the same closed
-queueing system in simulated time:
+testbed for an hour per configuration.  This package runs the same
+closed queueing system in simulated time, so every paper table is
+reproducible in seconds:
 
-- :mod:`repro.sim.kernel` — a generator-based discrete-event kernel
-  (event heap, processes, one-shot events).
-- :mod:`repro.sim.resources` — simulated thread pools (token resources
-  whose waiter queues are the plotted queue lengths), a
-  processor-sharing server for the database host, and a FIFO
-  shared/exclusive table-lock manager mirroring
-  :mod:`repro.db.locks`.
-- :mod:`repro.sim.server` — the thread-per-request and staged server
-  models.  The staged model embeds the *real*
-  :class:`repro.core.SchedulingPolicy` — classification, Table 1
-  dispatch, and the treserve controller are the production code, not a
-  re-implementation.
-- :mod:`repro.sim.workload` — per-page service-demand profiles
-  (derived from profiling the real TPC-W implementation, see
-  :mod:`repro.tpcw.profile`) and the closed-loop emulated browsers.
-- :mod:`repro.sim.results` — metric collection for every table and
-  figure in the paper's Section 4.
+- :mod:`repro.sim.kernel` — a generator-based discrete-event kernel.
+- :mod:`repro.sim.resources` — thread pools (FIFO or priority-ordered
+  waiter queues, which are the plotted queue lengths), a metered
+  connection pool, processor-sharing hosts, and reader-preference
+  table locks.  The lock model differs from the live
+  :mod:`repro.db.locks` on purpose: it reproduces Table 4's
+  admin-response slowdown.
+- :mod:`repro.sim.server` — :class:`SimServer`, one stage-graph walker
+  whose stage table names the topology (thread-per-request, the
+  five-pool design, its render-inline ablation, or SJF), embedding the
+  *real* :class:`repro.core.SchedulingPolicy`.
+- :mod:`repro.sim.faults` — the live fault-injection sites and
+  resilience policies, re-expressed on simulated time.
+- :mod:`repro.sim.workload` — per-page service-demand profiles and the
+  closed-loop emulated browsers.
+- :mod:`repro.sim.results` — metric collection for Section 4.
 """
 
 from repro.sim.kernel import Simulation, SimEvent
@@ -33,7 +32,7 @@ from repro.sim.resources import (
     SimThreadPool,
 )
 from repro.sim.results import SimResults
-from repro.sim.server import SimBaselineServer, SimStagedServer
+from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     PageProfile,
@@ -50,8 +49,7 @@ __all__ = [
     "SimLockTable",
     "SimThreadPool",
     "SimResults",
-    "SimBaselineServer",
-    "SimStagedServer",
+    "SimServer",
     "DEFAULT_PROFILES",
     "PageProfile",
     "WorkloadConfig",

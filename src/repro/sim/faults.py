@@ -22,8 +22,8 @@ Both sides evaluate the *same* :class:`FaultPlan` rules with the same
 seed, so a scripted plan produces an identical ``fault_report()`` on
 the live server and the sim — the parity the chaos tests assert.
 Injected delays become ``yield`` suspensions; injected failures become
-:class:`SimRequestFailed`, which a page process catches at its top
-level to abandon the request (the sim analogue of an error response).
+:class:`SimRequestFailed`, which the server's request walker catches
+to abandon the request (the sim analogue of an error response).
 
 Policies mirrored on sim time: per-stage request deadlines
 (:meth:`check_deadline` → 504), bounded retry with the same
@@ -32,8 +32,8 @@ deterministic-jitter backoff schedule as the live
 per-query lease strategy, the only one the live retry applies to), and
 a :class:`~repro.faults.policies.CircuitBreaker` guarding the
 connection pool.  Counters land in a :class:`ServerStats` driven by
-the sim clock, so ``resilience_report()`` exports key-for-key with the
-live document.
+the sim clock, so ``stats.resilience_report()`` exports key-for-key
+with the live document.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class SimRequestFailed(Exception):
 
     ``status`` carries the HTTP status the live server would have sent
     (``None`` for a silent client abandon, where the live side sends
-    nothing at all).  Page processes catch this at their top level and
-    abandon the request without recording a completion.
+    nothing at all).  The server's request walker catches this and
+    abandons the request without recording a completion.
     """
 
     def __init__(self, status: Optional[int], message: str = ""):
@@ -93,16 +93,18 @@ def sim_fault_plan(sim: Simulation, rules: Iterable[FaultRule],
 class SimFaultHarness:
     """One per simulated server: the plan, the policies, the counters.
 
-    The page processes call the gate methods at the same points — and
-    in the same order — as the live request path consults the plan:
-    worker hook, deadline check, socket read, pool acquire, per-query,
-    render, socket write.
+    :class:`repro.sim.server.SimServer` calls the gate methods at the
+    same points — and in the same order — as the live request path
+    consults the plan: worker hook, deadline check, socket read, pool
+    acquire, per-query, render, socket write.
     """
 
     def __init__(self, sim: Simulation, plan: FaultPlan,
                  resilience: Optional[ResilienceConfig] = None):
         self.sim = sim
         self.plan = plan
+        if resilience is None:
+            resilience = ResilienceConfig()
         self.resilience = resilience
         clock = SimClockAdapter(sim)
         #: Same counter surface as the live servers' ``server.stats``,
@@ -112,15 +114,14 @@ class SimFaultHarness:
         if plan.on_inject is None:
             plan.on_inject = self.stats.record_fault
         self.breaker: Optional[CircuitBreaker] = None
-        if resilience is not None and resilience.breaker is not None:
+        if resilience.breaker is not None:
             self.breaker = CircuitBreaker(
                 resilience.breaker, clock=clock,
                 on_transition=self.stats.record_breaker_transition,
             )
-        seed = resilience.seed if resilience is not None else 0
         # Same stream name as the live LeaseManager: identical seeds
         # yield the identical backoff schedule.
-        self._retry_stream = RandomStream(seed, "retry-jitter")
+        self._retry_stream = RandomStream(resilience.seed, "retry-jitter")
 
     # ------------------------------------------------------------------
     # Policies
@@ -128,15 +129,13 @@ class SimFaultHarness:
     def check_deadline(self, stage: str, arrival: float) -> None:
         """Live ``Pipeline._execute``'s entry check: a job whose age
         exceeds the stage deadline fails 504 before service begins."""
-        if self.resilience is None:
-            return
         deadline = self.resilience.deadline_for(stage)
         if deadline is not None and self.sim.now - arrival > deadline:
             self.stats.record_deadline_expired(stage)
             raise SimRequestFailed(504, "request deadline expired")
 
     def retry_delays(self) -> List[float]:
-        if self.resilience is None or self.resilience.retry is None:
+        if self.resilience.retry is None:
             return []
         return self.resilience.retry.delays(self._retry_stream)
 
@@ -238,10 +237,3 @@ class SimFaultHarness:
             yield decision.delay
         else:
             raise SimRequestFailed(500, "render failure (injected)")
-
-    # ------------------------------------------------------------------
-    def fault_report(self) -> dict:
-        return self.plan.fault_report()
-
-    def resilience_report(self) -> dict:
-        return self.stats.resilience_report()

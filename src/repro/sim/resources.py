@@ -18,8 +18,12 @@ class SimThreadPool:
     ``queue_length`` is exactly the quantity plotted in the paper's
     Figures 7 and 8, and ``spare`` is the paper's ``tspare``.
 
-    Waiters carry a ``tag`` so queue lengths can be reported per
-    request class (Figure 7 plots queued *dynamic* requests).
+    Waiters are served lowest ``priority`` first, ties in arrival
+    order: callers that pass no priority get a FIFO queue, while a
+    size estimate as the priority gives Shortest-Job-First over one
+    pool (Cherkasova-style, the paper's §5 comparison point).  Waiters
+    carry a ``tag`` so queue lengths can be reported per request class
+    (Figure 7 plots queued *dynamic* requests).
     """
 
     def __init__(self, sim: Simulation, name: str, size: int):
@@ -29,7 +33,8 @@ class SimThreadPool:
         self.name = name
         self.size = size
         self.busy = 0
-        self._waiters: Deque[Tuple[SimEvent, str]] = deque()
+        self._waiters: List[Tuple[float, int, SimEvent, str]] = []
+        self._arrivals = 0
         self._tag_counts: Dict[str, int] = {}
 
     @property
@@ -43,14 +48,16 @@ class SimThreadPool:
     def queued_with_tag(self, *tags: str) -> int:
         return sum(self._tag_counts.get(tag, 0) for tag in tags)
 
-    def acquire(self, tag: str = "work") -> SimEvent:
+    def acquire(self, tag: str = "work", priority: float = 0.0) -> SimEvent:
         """Returns an event fired once a thread is granted."""
         event = self.sim.event()
         if self.busy < self.size and not self._waiters:
             self.busy += 1
             event.fire()
         else:
-            self._waiters.append((event, tag))
+            self._arrivals += 1
+            heapq.heappush(self._waiters,
+                           (priority, self._arrivals, event, tag))
             self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
         return event
 
@@ -58,55 +65,11 @@ class SimThreadPool:
         if self.busy <= 0:
             raise RuntimeError(f"pool {self.name!r}: release without acquire")
         if self._waiters:
-            event, tag = self._waiters.popleft()
+            _, _, event, tag = heapq.heappop(self._waiters)
             self._tag_counts[tag] -= 1
             event.fire()  # busy count transfers to the waiter
         else:
             self.busy -= 1
-
-
-class PrioritySimThreadPool(SimThreadPool):
-    """A thread pool whose queue is a priority queue (lowest first).
-
-    Models Shortest-Job-First scheduling over a single pool
-    (Cherkasova-style, the paper's §5 comparison point): waiters are
-    ordered by an estimated job size instead of FIFO.  Ties break by
-    arrival order, so equal-priority traffic degrades gracefully to
-    FIFO.  Inherits the tag accounting used for queue-length reporting.
-    """
-
-    def __init__(self, sim: Simulation, name: str, size: int):
-        super().__init__(sim, name, size)
-        self._heap: List[Tuple[float, int, SimEvent, str]] = []
-        self._arrivals = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
-
-    def acquire(self, tag: str = "work", priority: float = 0.0) -> SimEvent:
-        event = self.sim.event()
-        if self.busy < self.size and not self._heap:
-            self.busy += 1
-            event.fire()
-        else:
-            self._arrivals += 1
-            heapq.heappush(self._heap, (priority, self._arrivals, event, tag))
-            self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
-        return event
-
-    def release(self) -> None:
-        if self.busy <= 0:
-            raise RuntimeError(f"pool {self.name!r}: release without acquire")
-        if self._heap:
-            _, __, event, tag = heapq.heappop(self._heap)
-            self._tag_counts[tag] -= 1
-            event.fire()
-        else:
-            self.busy -= 1
-
-    def queued_with_tag(self, *tags: str) -> int:
-        return sum(self._tag_counts.get(tag, 0) for tag in tags)
 
 
 class SimLease:

@@ -226,8 +226,10 @@ def run_tpcw_simulation(server_kind: str,
                         resilience=None) -> SimResults:
     """Run one complete simulated TPC-W experiment.
 
-    ``server_kind`` is ``"baseline"`` (thread-per-request) or
-    ``"staged"`` (the paper's five-pool design).  Returns the
+    ``server_kind`` names the topology (see
+    :data:`repro.sim.server.TOPOLOGIES`): ``"baseline"``
+    (thread-per-request), ``"staged"`` (the paper's five-pool design),
+    ``"staged-render-inline"`` or ``"sjf"``.  Returns the
     :class:`SimResults` with everything the harness needs.
 
     ``fault_rules`` (a sequence of :class:`repro.faults.plan.FaultRule`)
@@ -237,11 +239,7 @@ def run_tpcw_simulation(server_kind: str,
     deadlines, retry, and the circuit breaker.  The results object then
     carries ``fault_report`` and ``resilience_report`` attributes.
     """
-    from repro.sim.server import (
-        SimBaselineServer,
-        SimSJFServer,
-        SimStagedServer,
-    )
+    from repro.sim.server import SimServer
 
     if config is None:
         config = WorkloadConfig()
@@ -256,24 +254,13 @@ def run_tpcw_simulation(server_kind: str,
         measure_start=config.ramp_up,
         measure_end=config.ramp_up + config.measure,
     )
-    if server_kind == "baseline":
-        server = SimBaselineServer(sim, config, results)
-    elif server_kind == "staged":
-        server = SimStagedServer(sim, config, results, dispatcher=dispatcher)
-    elif server_kind == "staged-render-inline":
-        server = SimStagedServer(sim, config, results, dispatcher=dispatcher,
-                                 render_inline=True)
-    elif server_kind == "sjf":
-        server = SimSJFServer(sim, config, results)
-    else:
-        raise ValueError(f"unknown server kind {server_kind!r}")
-
-    harness = None
+    server = SimServer(sim, config, results, kind=server_kind,
+                       dispatcher=dispatcher)
     if fault_rules is not None:
         from repro.sim.faults import sim_fault_plan
 
-        plan = sim_fault_plan(sim, fault_rules, seed=fault_seed)
-        harness = server.configure_faults(plan, resilience)
+        server.configure_faults(
+            sim_fault_plan(sim, fault_rules, seed=fault_seed), resilience)
 
     for index in range(config.clients):
         rng = RandomStream(config.seed, f"browser-{index}")
@@ -288,9 +275,10 @@ def run_tpcw_simulation(server_kind: str,
     # In-flight leases at cut-off are simply not counted (same rule as
     # the live report: completed checkouts only).
     results.connection_report = server.connections.utilization_report()
-    if harness is not None:
-        results.fault_report = harness.fault_report()
-        results.resilience_report = harness.resilience_report()
+    if fault_rules is not None:
+        harness = server.fault_harness
+        results.fault_report = harness.plan.fault_report()
+        results.resilience_report = harness.stats.resilience_report()
     return results
 
 

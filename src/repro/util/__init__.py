@@ -7,7 +7,7 @@ experiment harness.
 
 from repro.util.clock import Clock, ManualClock, MonotonicClock
 from repro.util.rng import RandomStream, spawn_streams
-from repro.util.timeseries import Histogram, TimeSeries, WelfordAccumulator
+from repro.util.timeseries import TimeSeries, WelfordAccumulator
 
 __all__ = [
     "Clock",
@@ -15,7 +15,6 @@ __all__ = [
     "MonotonicClock",
     "RandomStream",
     "spawn_streams",
-    "Histogram",
     "TimeSeries",
     "WelfordAccumulator",
 ]

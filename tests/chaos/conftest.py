@@ -4,7 +4,7 @@ Every scenario here is deterministic by construction: the server, the
 fault plan, the breaker, and the retry backoff all run on one
 ``ManualClock``, and the plan's ``sleeper`` is ``clock.advance`` — an
 injected delay (or a backoff wait) moves the test clock instead of
-wall time.  ``tools/check_sleep_free.py`` lints this directory in CI:
+wall time.  ``tools/lint.py sleep-free`` lints this directory in CI:
 no ``time.sleep`` anywhere.
 """
 

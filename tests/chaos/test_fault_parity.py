@@ -1,9 +1,10 @@
 """Sim/live fault parity: one scripted FaultPlan, two worlds.
 
-The same rules with the same seed are interpreted by the live
-:class:`StagedServer` (real sockets, real threads, ManualClock) and by
-the :class:`SimStagedServer` mirror (generator processes on the
-discrete-event clock).  Both must produce the identical
+The same rules with the same seed are interpreted by a live server
+(real sockets, real threads, ManualClock) and by :class:`SimServer`
+with the same topology (generator processes on the discrete-event
+clock), for the staged server, its render-inline ablation, and the
+thread-per-request baseline.  Both worlds must produce the identical
 ``fault_report()`` — same rules, same per-rule injection counts — and
 the identical ``resilience_report()`` counters, and a second live run
 with the same seed must reproduce the first bit for bit.
@@ -24,12 +25,13 @@ from repro.faults.plan import (
 from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.http.client import http_request
 from repro.server.app import Application
+from repro.server.baseline import BaselineServer
 from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.sim.faults import sim_fault_plan
 from repro.sim.kernel import Simulation
 from repro.sim.results import SimResults
-from repro.sim.server import SimStagedServer
+from repro.sim.server import SimServer
 from repro.sim.workload import PageProfile, WorkloadConfig
 from repro.templates.engine import TemplateEngine
 from repro.util.clock import ManualClock
@@ -97,14 +99,29 @@ def build_parity_app():
     return app, database
 
 
-def run_live():
-    """The script against a real StagedServer; returns the reports."""
+#: Topology kind -> live server factory; the sim side is
+#: ``SimServer(..., kind)`` with the same kind string.
+LIVE_SERVERS = {
+    "staged": lambda app, pool, **kw: StagedServer(
+        app, pool, policy=small_policy(), **kw),
+    "staged-render-inline": lambda app, pool, **kw: StagedServer(
+        app, pool, policy=small_policy(), render_inline=True, **kw),
+    "baseline": lambda app, pool, **kw: BaselineServer(app, pool, **kw),
+}
+
+#: The stage that runs the SELECT (and so retries it) per topology.
+QUERY_STAGE = {"staged": "general", "staged-render-inline": "general",
+               "baseline": "worker"}
+
+
+def run_live(kind):
+    """The script against a real server; returns the reports."""
     clock = ManualClock()
     plan = FaultPlan(PARITY_RULES, seed=PARITY_SEED, clock=clock,
                      sleeper=clock.advance)
     app, database = build_parity_app()
-    server = StagedServer(
-        app, ConnectionPool(database, 4), policy=small_policy(),
+    server = LIVE_SERVERS[kind](
+        app, ConnectionPool(database, 4),
         lease_strategy=LeaseStrategy.LEASED_PER_QUERY, clock=clock,
         faults=plan, resilience=PARITY_RESILIENCE,
     )
@@ -130,11 +147,11 @@ SIM_PROFILES = {
 }
 
 
-def run_sim():
-    """The same script through the SimStagedServer mirror."""
+def run_sim(kind):
+    """The same script through the SimServer with the same topology."""
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
-    server = SimStagedServer(sim, config, SimResults())
+    server = SimServer(sim, config, SimResults(), kind)
     harness = server.configure_faults(
         sim_fault_plan(sim, PARITY_RULES, seed=PARITY_SEED),
         PARITY_RESILIENCE,
@@ -148,27 +165,28 @@ def run_sim():
 
     sim.spawn(driver())
     sim.run()
-    return harness.fault_report(), harness.resilience_report()
+    return harness.plan.fault_report(), harness.stats.resilience_report()
 
 
+@pytest.mark.parametrize("kind", sorted(LIVE_SERVERS))
 class TestFaultParity:
-    def test_live_matches_expectations(self):
-        statuses, fault_report, resilience = run_live()
+    def test_live_matches_expectations(self, kind):
+        statuses, fault_report, resilience = run_live(kind)
         assert statuses == EXPECTED_STATUSES
         assert fault_report["seed"] == PARITY_SEED
         assert fault_report["total_injected"] == 4
         assert fault_report["injected"] == EXPECTED_INJECTED
         # Both transients hit the same SELECT and were retried on the
-        # connection-holding general stage.
-        assert resilience["stages"]["general"]["retries"] == 2
+        # connection-holding stage.
+        assert resilience["stages"][QUERY_STAGE[kind]]["retries"] == 2
 
-    def test_sim_mirrors_live_key_for_key(self):
-        _statuses, live_faults, live_resilience = run_live()
-        sim_faults, sim_resilience = run_sim()
+    def test_sim_mirrors_live_key_for_key(self, kind):
+        _statuses, live_faults, live_resilience = run_live(kind)
+        sim_faults, sim_resilience = run_sim(kind)
         assert sim_faults == live_faults
         assert sim_resilience == live_resilience
 
-    def test_two_consecutive_live_runs_are_identical(self):
-        first = run_live()
-        second = run_live()
+    def test_two_consecutive_live_runs_are_identical(self, kind):
+        first = run_live(kind)
+        second = run_live(kind)
         assert first == second

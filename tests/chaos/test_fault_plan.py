@@ -92,6 +92,20 @@ class TestMatching:
         # Context restored: back to no match.
         assert plan.decide(SITE_DB_QUERY) is None
 
+    def test_page_named_after_push_keeps_stage_until_pop(self):
+        plan = make_plan([
+            FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL,
+                      page_key="/p", stage="worker"),
+        ])
+        token = plan.push_context(None, "worker")
+        try:
+            assert plan.decide(SITE_DB_QUERY) is None
+            plan.set_context_page("/p")
+            assert plan.decide(SITE_DB_QUERY) is not None
+        finally:
+            plan.pop_context(token)
+        assert plan.decide(SITE_DB_QUERY) is None
+
     def test_explicit_args_override_context(self):
         plan = make_plan([
             FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL,

@@ -1,8 +1,11 @@
 """Transaction tests: BEGIN/COMMIT/ROLLBACK atomicity."""
 
+import threading
+
 import pytest
 
 from repro.db.connection import Connection
+from repro.db.cost import CostModel
 from repro.db.engine import Database
 from repro.db.transactions import TransactionError, UndoLog
 
@@ -194,3 +197,57 @@ class TestUndoLog:
         log.record_insert(table, row_id)
         table.delete_row(row_id)
         log.rollback()  # must not raise
+
+
+class _PausingCostModel(CostModel):
+    """Parks the first row write, once armed, until ``resume`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = False
+        self.paused = threading.Event()
+        self.resume = threading.Event()
+
+    def charge(self, operation, count=1):
+        cost = super().charge(operation, count)
+        if operation == "row_write" and self.armed:
+            self.armed = False
+            self.paused.set()
+            self.resume.wait(timeout=10)
+        return cost
+
+
+class TestConcurrentStatements:
+    def test_rollback_survives_a_statement_run_mid_insert(self):
+        """Per-statement executor state is not shared: a SELECT that
+        runs while a transactional INSERT is between rows must not
+        detach the INSERT's undo log, so ROLLBACK removes every row."""
+        cost = _PausingCostModel()
+        database = Database(cost_model=cost)
+        database.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v INT)")
+        conn = Connection(database)
+        errors = []
+
+        def writer():
+            try:
+                conn.begin()
+                conn.execute("INSERT INTO t (v) VALUES (1), (2)")
+                conn.rollback()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        cost.armed = True
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert cost.paused.wait(timeout=10)
+            # The writer is parked after its first row; MyISAM-style
+            # concurrent insert lets this SELECT run to completion.
+            assert database.execute("SELECT COUNT(*) FROM t").rows == [(1,)]
+        finally:
+            cost.resume.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not errors
+        assert database.execute("SELECT COUNT(*) FROM t").rows == [(0,)]

@@ -1,10 +1,10 @@
-"""Tests for the simulation extensions: SJF server, render-inline,
-and the priority pool behind them."""
+"""Tests for the simulation extensions: the SJF and render-inline
+topologies, and the priority-ordered pool queue behind SJF."""
 
 import pytest
 
 from repro.sim.kernel import Simulation
-from repro.sim.resources import PrioritySimThreadPool
+from repro.sim.resources import SimThreadPool
 from repro.sim.workload import (
     LENGTHY_REPORT_PAGES,
     WorkloadConfig,
@@ -16,7 +16,7 @@ from tests.sim.test_workload_server import fast_profiles, tiny_config
 class TestPriorityPool:
     def test_lowest_priority_served_first(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         order = []
 
         def worker(name, priority, hold):
@@ -33,7 +33,7 @@ class TestPriorityPool:
 
     def test_equal_priority_is_fifo(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         order = []
 
         def worker(name):
@@ -49,7 +49,7 @@ class TestPriorityPool:
 
     def test_queue_length_and_tags(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         pool.acquire(tag="x")  # granted
         pool.acquire(tag="dynamic", priority=5.0)
         pool.acquire(tag="static", priority=0.0)
@@ -59,7 +59,7 @@ class TestPriorityPool:
 
     def test_release_without_acquire(self):
         sim = Simulation()
-        pool = PrioritySimThreadPool(sim, "p", 1)
+        pool = SimThreadPool(sim, "p", 1)
         with pytest.raises(RuntimeError):
             pool.release()
 
@@ -123,20 +123,21 @@ class TestWarmStart:
     def test_tracker_primed_from_profiles(self):
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
         from repro.sim.workload import DEFAULT_PROFILES
 
         config = tiny_config(warm_start=True)
-        server = SimStagedServer(Simulation(), config, SimResults())
+        server = SimServer(Simulation(), config, SimResults(), "staged")
         bs_demand = DEFAULT_PROFILES["/best_sellers"].db_demand
         assert server.policy.tracker.mean_time("/best_sellers") == bs_demand
 
     def test_cold_start_tracker_empty(self):
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
 
-        server = SimStagedServer(Simulation(), tiny_config(), SimResults())
+        server = SimServer(Simulation(), tiny_config(), SimResults(),
+                           "staged")
         assert server.policy.tracker.mean_time("/best_sellers") is None
 
     def test_warm_start_first_lengthy_routed_correctly(self):
@@ -146,14 +147,15 @@ class TestWarmStart:
         from repro.core.dispatch import DynamicPoolChoice
         from repro.sim.kernel import Simulation
         from repro.sim.results import SimResults
-        from repro.sim.server import SimStagedServer
+        from repro.sim.server import SimServer
 
         config = tiny_config(warm_start=True)
-        server = SimStagedServer(Simulation(), config, SimResults())
+        server = SimServer(Simulation(), config, SimResults(), "staged")
         choice = server.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.LENGTHY
 
-        cold = SimStagedServer(Simulation(), tiny_config(), SimResults())
+        cold = SimServer(Simulation(), tiny_config(), SimResults(),
+                         "staged")
         choice = cold.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.GENERAL
 

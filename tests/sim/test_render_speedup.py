@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.kernel import Simulation
 from repro.sim.results import SimResults
-from repro.sim.server import SimBaselineServer
+from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     WorkloadConfig,
@@ -48,7 +48,7 @@ class TestKnob:
 
     def test_demand_divided_by_speedup(self):
         config = tiny_config(render_speedup=4.0)
-        server = SimBaselineServer(Simulation(), config, SimResults())
+        server = SimServer(Simulation(), config, SimResults(), "baseline")
         profile = DEFAULT_PROFILES["/home"]
         expected = profile.render_demand * 1.3 / 4.0
         assert server._render_demand(profile, 1.3) == pytest.approx(expected)

@@ -1,4 +1,4 @@
-"""Time series, accumulator, and histogram tests."""
+"""Time series and accumulator tests."""
 
 import math
 import threading
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.timeseries import (
-    Histogram,
     SummaryAccumulator,
     TimeSeries,
     WelfordAccumulator,
@@ -219,52 +218,3 @@ class TestSummaryAccumulator:
         acc.extend(values)
         assert acc.percentile(100) == max(values)
         assert acc.percentile(0) == min(values)
-
-
-class TestHistogram:
-    def test_count(self):
-        hist = Histogram()
-        hist.add(0.5)
-        hist.add(1.5)
-        assert hist.count == 2
-
-    def test_percentiles_exact(self):
-        hist = Histogram()
-        for v in range(1, 101):
-            hist.add(float(v))
-        assert hist.percentile(50) == 50.0
-        assert hist.percentile(99) == 99.0
-        assert hist.percentile(100) == 100.0
-
-    def test_percentile_zero_is_minimum(self):
-        hist = Histogram()
-        hist.add(3.0)
-        hist.add(1.0)
-        assert hist.percentile(0) == 1.0
-
-    def test_percentile_bounds_checked(self):
-        hist = Histogram()
-        hist.add(1.0)
-        with pytest.raises(ValueError):
-            hist.percentile(101)
-
-    def test_empty_percentile_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("x").percentile(50)
-
-    def test_mean(self):
-        hist = Histogram()
-        hist.add(1.0)
-        hist.add(3.0)
-        assert hist.mean() == 2.0
-
-    def test_bucket_counts_cover_all_samples(self):
-        hist = Histogram(bucket_bounds=[1.0, 10.0])
-        for v in [0.5, 5.0, 50.0]:
-            hist.add(v)
-        counts = hist.bucket_counts()
-        assert counts == {"<=1": 1, "<=10": 1, "+inf": 1}
-
-    def test_empty_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(bucket_bounds=[])

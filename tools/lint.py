@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Lint: structural rules CI enforces over the source and chaos trees.
+
+Each rule names a root, the files under it allowed to break the rule,
+and what to do instead.  Files are parsed, not grepped, so comments and
+strings never count, and a method is caught whether it is called or
+only referenced (``f = pool.submit`` would dodge a call-site grep).
+
+- ``submit``: ``ThreadPool.submit`` belongs to ``server/pipeline.py``.
+  The pipeline owns all submit/overload/503 plumbing; a direct submit
+  elsewhere reintroduces the copy-pasted error paths it removed.
+- ``acquire``: ``.acquire`` belongs to the resource layers.  A raw
+  ``ConnectionPool.acquire``/``release`` pair is the ad-hoc wiring the
+  lease layer removed: a missed or doubled release corrupts the pool,
+  and an unmetered checkout escapes the busy-fraction accounting.  The
+  rule is deliberately broad (it also matches lock-manager and
+  simulated-pool acquires): every legitimate acquire lives in an
+  allow-listed resource module, so a new match is either a connection
+  checkout that must become a lease or a resource primitive that
+  belongs in one of those files.
+- ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
+  backoff and breaker timeouts run on a ``ManualClock`` or the sim
+  clock, so ``time.sleep`` there hides a race behind wall time.
+
+Usage: python tools/lint.py [--root PATH] [RULE ...]
+Runs the named rules (default: all) over their roots (``--root``
+overrides the root, for one rule).  Exit status 0 if clean, 1 with a
+listing of offending lines otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import dataclasses
+import os
+import sys
+from typing import Callable, FrozenSet, List, Tuple
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _uses_method(name: str) -> Callable[[ast.AST], bool]:
+    def match(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.ctx, ast.Load))
+    return match
+
+
+def _uses_time_sleep(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        # Importing sleep out of time just renames the same wait.
+        return node.module == "time" and any(
+            alias.name == "sleep" for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "sleep"
+            and isinstance(node.value, ast.Name) and node.value.id == "time")
+
+
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    name: str
+    root: str                  # relative to the repository
+    allowed: FrozenSet[str]    # paths relative to the root
+    match: Callable[[ast.AST], bool]
+    message: str
+
+
+RULES = {rule.name: rule for rule in (
+    Rule("submit", "src", frozenset({
+        os.path.join("repro", "server", "pipeline.py"),
+    }), _uses_method("submit"),
+        "direct ThreadPool.submit sites outside server/pipeline.py "
+        "(route through Pipeline.submit)"),
+    Rule("acquire", "src", frozenset({
+        # The pool itself: creates connections, implements lease().
+        os.path.join("repro", "db", "pool.py"),
+        # Table-lock manager: lock.acquire(mode, timeout).
+        os.path.join("repro", "db", "locks.py"),
+        # THE lease layer — the one sanctioned ConnectionPool.acquire.
+        os.path.join("repro", "server", "resources.py"),
+        # Simulated resources: SimThreadPool/SimConnectionPool.
+        os.path.join("repro", "sim", "resources.py"),
+        # The sim server acquires simulated *thread-pool* tokens; its
+        # connections go through SimConnectionPool.lease().
+        os.path.join("repro", "sim", "server.py"),
+    }), _uses_method("acquire"),
+        "raw .acquire sites outside the resource layers (lease through "
+        "repro.server.resources or pool.lease())"),
+    Rule("sleep-free", os.path.join("tests", "chaos"), frozenset(),
+         _uses_time_sleep,
+         "time.sleep in the chaos suite (drive the ManualClock or sim "
+         "clock instead)"),
+)}
+
+
+def find_violations(rule: Rule, root: str) -> List[Tuple[str, int, str]]:
+    """``(relative path, line number, line)`` for every offending node."""
+    violations = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            path = os.path.join(dirpath, filename)
+            relative = os.path.relpath(path, root)
+            if not filename.endswith(".py") or relative in rule.allowed:
+                continue
+            with open(path, encoding="utf-8") as f:
+                source = f.read()
+            lines = source.splitlines()
+            tree = ast.parse(source, filename=path)
+            linenos = sorted({node.lineno for node in ast.walk(tree)
+                              if rule.match(node)})
+            violations.extend((relative, lineno, lines[lineno - 1])
+                              for lineno in linenos)
+    return violations
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rules", nargs="*", metavar="RULE",
+                        help=", ".join(RULES))
+    parser.add_argument("--root", help="tree to check (one rule only)")
+    args = parser.parse_args(argv)
+    names = args.rules or list(RULES)
+    unknown = [name for name in names if name not in RULES]
+    if unknown:
+        parser.error(f"unknown rule(s): {', '.join(unknown)}")
+    if args.root is not None and len(names) != 1:
+        parser.error("--root needs exactly one RULE")
+    status = 0
+    for name in names:
+        rule = RULES[name]
+        root = args.root or os.path.join(REPO_ROOT, rule.root)
+        violations = find_violations(rule, root)
+        if violations:
+            status = 1
+            print(f"{name}: {rule.message}:")
+            for relative, lineno, line in violations:
+                print(f"  {relative}:{lineno}: {line.strip()}")
+        else:
+            print(f"{name}: clean")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
