@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel
 from repro.db.errors import TableError
@@ -20,10 +20,14 @@ from repro.db.sql.ast import (
     Statement,
     Update,
 )
-from repro.db.sql.executor import Executor, ResultSet
+from repro.db.sql.executor import Executor, Plan, ResultSet, compile_statement
 from repro.db.sql.parser import parse_sql
 from repro.db.table import Column, Table
 from repro.db.transactions import TransactionManager
+
+#: Compiled plans kept before the plan cache starts over (it only grows
+#: past the statement cache when callers execute ad-hoc parsed ASTs).
+PLAN_CACHE_LIMIT = 4096
 
 
 class Database:
@@ -48,6 +52,10 @@ class Database:
         #: owning server.
         self.faults = None
         self._statement_cache: Dict[str, Statement] = {}
+        #: id(statement) -> (statement, compiled plan), valid for the
+        #: schema it was compiled against; see :meth:`_schema_changed`.
+        self._plan_cache: Dict[int, Tuple[Statement, Plan]] = {}
+        self._schema_version = 0
         self._cache_lock = threading.Lock()
         self._schema_lock = threading.Lock()
         self._append_latches: Dict[str, threading.Lock] = {}
@@ -63,7 +71,8 @@ class Database:
                 raise TableError(f"table {name!r} already exists")
             table = Table(name, columns)
             self.tables[name] = table
-            return table
+        self._schema_changed()
+        return table
 
     def table(self, name: str) -> Table:
         try:
@@ -76,6 +85,7 @@ class Database:
             if name not in self.tables:
                 raise TableError(f"no such table: {name!r}")
             del self.tables[name]
+        self._schema_changed()
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -89,6 +99,30 @@ class Database:
             with self._cache_lock:
                 self._statement_cache.setdefault(sql, statement)
         return statement
+
+    def _plan(self, statement: Statement) -> Plan:
+        """The statement's compiled plan, compiled on first use."""
+        entry = self._plan_cache.get(id(statement))
+        if entry is not None and entry[0] is statement:
+            return entry[1]
+        version = self._schema_version
+        plan = compile_statement(statement, self.tables)
+        with self._cache_lock:
+            # A plan compiled while the schema changed is used once,
+            # not kept.
+            if version == self._schema_version:
+                if len(self._plan_cache) >= PLAN_CACHE_LIMIT:
+                    self._plan_cache.clear()
+                self._plan_cache[id(statement)] = (statement, plan)
+        return plan
+
+    def _schema_changed(self) -> None:
+        """Drop every compiled plan: they bind the column layout of the
+        tables they read.  Called after each CREATE/DROP TABLE and
+        CREATE INDEX."""
+        with self._cache_lock:
+            self._schema_version += 1
+            self._plan_cache.clear()
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Parse, lock, and run one statement.
@@ -132,12 +166,18 @@ class Database:
         transaction = self.transactions.current(self._txn_key(connection_id))
         undo = transaction.undo if transaction is not None else None
         executor = Executor(self.tables, self.cost_model, undo)
+        plan = self._plan(statement)
         needs = self._lock_needs(statement)
         with LockScope(self.locks, needs):
             if isinstance(statement, Insert):
                 with self._append_latch(statement.table):
-                    return executor.execute(statement, params)
-            return executor.execute(statement, params)
+                    return executor.execute(statement, params, plan)
+            if isinstance(statement, (CreateTable, CreateIndex)):
+                try:
+                    return executor.execute(statement, params, plan)
+                finally:
+                    self._schema_changed()
+            return executor.execute(statement, params, plan)
 
     def _rollback(self, connection_id: Optional[int]) -> int:
         """Roll back under exclusive locks on every touched table (undo

@@ -1,50 +1,47 @@
-"""SQL executor: runs parsed statements against the storage layer.
+"""SQL executor: compiles parsed statements into plans and runs them.
 
 Plans are simple but cost-faithful: equality predicates on indexed
-columns become index probes; everything else scans.  Every elementary
-operation is charged to the :class:`~repro.db.cost.CostModel`, which is
-how the TPC-W fast/slow page dichotomy emerges.
+columns become index probes; everything else scans.  Every operator's
+work is charged to the :class:`~repro.db.cost.CostModel`, which is how
+the TPC-W fast/slow page dichotomy emerges.
+
+:func:`compile_statement` does the per-statement work once: it binds
+each column to a fixed slot of the FROM/JOIN layout, picks operator
+functions, compiles constant LIKE patterns, and turns every expression
+into a closure ``f(env, run)`` — ``env`` a tuple of row dicts, one per
+alias, ``run`` the :class:`Executor` carrying the parameters.  What the
+compiler finds wrong (an unknown column, a missing table) becomes a
+closure that raises when execution reaches it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import re
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel
 from repro.db.errors import ColumnError, ProgrammingError, SQLSyntaxError, TableError
 from repro.db.sql.ast import (
-    Begin,
-    Between,
-    BinaryOp,
-    Commit,
-    ColumnRef,
-    InSubquery,
-    CreateIndex,
-    CreateTable,
-    Delete,
-    Expression,
-    FuncCall,
-    InList,
-    Insert,
-    IsNull,
-    Like,
-    Literal,
-    OrderItem,
-    Placeholder,
-    Rollback,
-    Select,
-    SelectItem,
-    Statement,
-    UnaryOp,
+    Begin, Between, BinaryOp, ColumnRef, Commit, CreateIndex, CreateTable,
+    Delete, Expression, FuncCall, InList, InSubquery, Insert, IsNull, Like,
+    Literal, Placeholder, Rollback, Select, SelectItem, Statement, UnaryOp,
     Update,
 )
 from repro.db.table import Table
 
-#: An environment maps table alias -> row dict.
-Env = Dict[str, Dict[str, Any]]
+#: One joined row: a row dict per FROM/JOIN alias, in declaration order.
+Env = Tuple[Dict[str, Any], ...]
+#: The FROM/JOIN layout a statement's expressions are compiled against:
+#: ``(alias, column names)`` per slot of :data:`Env`.
+Scope = Tuple[Tuple[str, Tuple[str, ...]], ...]
+#: A compiled expression: ``f(env, run)``, or ``f(group, run)`` in
+#: grouped context.
+RowFn = Callable[[Any, "Executor"], Any]
+#: A compiled statement: runs on an executor, returns the result.
+Plan = Callable[["Executor"], "ResultSet"]
 
 
 @dataclasses.dataclass
@@ -70,12 +67,13 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
 
 
 class Executor:
-    """Executes one AST statement against a dict of tables.
+    """Runs one statement's plan against a dict of tables.
 
-    The instance carries that statement's state — its running cost,
-    the active transaction's undo log, the subquery cache — so each
-    statement runs on its own executor and concurrent statements never
-    see each other's.  The executor holds no locks itself;
+    The instance carries that statement's state — its parameters, its
+    running cost, the active transaction's undo log, the subquery
+    cache — so each statement runs on its own executor and concurrent
+    statements never see each other's, while the compiled plan itself
+    is shared.  The executor holds no locks itself;
     :class:`repro.db.engine.Database` wraps each call in the
     appropriate :class:`LockScope`.
     """
@@ -85,32 +83,18 @@ class Executor:
         self._tables = tables
         self._cost = cost
         self._undo = undo  # the active transaction's UndoLog, if any
-        self._subquery_cache: Dict[int, frozenset] = {}
+        self._subquery_cache: Dict[Plan, frozenset] = {}
         self._statement_cost = 0.0
+        self.params: Sequence[Any] = ()
 
-    # ------------------------------------------------------------------
-    def execute(self, statement: Statement,
-                params: Sequence[Any] = ()) -> ResultSet:
+    def execute(self, statement: Statement, params: Sequence[Any] = (),
+                plan: Optional[Plan] = None) -> ResultSet:
+        """Run ``statement``; ``plan`` is its compiled form, if cached."""
         self._statement_cost = self._cost.charge("statement")
-        if isinstance(statement, Select):
-            result = self._execute_select(statement, params)
-        elif isinstance(statement, Insert):
-            result = self._execute_insert(statement, params)
-        elif isinstance(statement, Update):
-            result = self._execute_update(statement, params)
-        elif isinstance(statement, Delete):
-            result = self._execute_delete(statement, params)
-        elif isinstance(statement, CreateTable):
-            result = self._execute_create_table(statement)
-        elif isinstance(statement, CreateIndex):
-            result = self._execute_create_index(statement)
-        elif isinstance(statement, (Begin, Commit, Rollback)):
-            raise ProgrammingError(
-                "transaction statements are handled by the engine, not "
-                "the executor"
-            )
-        else:
-            raise ProgrammingError(f"cannot execute {type(statement).__name__}")
+        if plan is None:
+            plan = compile_statement(statement, self._tables)
+        self.params = params
+        result = plan(self)
         self._cost.settle(self._statement_cost)
         return result
 
@@ -124,614 +108,657 @@ class Executor:
         except KeyError:
             raise TableError(f"no such table: {name!r}")
 
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-    def _eval(self, expr: Expression, env: Env, params: Sequence[Any]) -> Any:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Placeholder):
-            if expr.index >= len(params):
-                raise ProgrammingError(
-                    f"statement requires at least {expr.index + 1} parameters, "
-                    f"got {len(params)}"
-                )
-            return params[expr.index]
-        if isinstance(expr, ColumnRef):
-            return self._resolve_column(expr, env)
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, env, params)
-        if isinstance(expr, UnaryOp):
-            value = self._eval(expr.operand, env, params)
-            if expr.op == "NOT":
-                return not _truthy(value)
-            if expr.op == "-":
-                return None if value is None else -value
-            raise ProgrammingError(f"unknown unary operator {expr.op!r}")
-        if isinstance(expr, InSubquery):
-            value = self._eval(expr.operand, env, params)
-            if value is None:
-                return False
-            members = self._subquery_values(expr, params)
-            found = value in members
-            return (not found) if expr.negated else found
-        if isinstance(expr, InList):
-            value = self._eval(expr.operand, env, params)
-            if value is None:
-                return False
-            members = [self._eval(option, env, params) for option in expr.options]
-            found = value in members
-            return (not found) if expr.negated else found
-        if isinstance(expr, Like):
-            value = self._eval(expr.operand, env, params)
-            pattern = self._eval(expr.pattern, env, params)
-            if value is None or pattern is None:
-                return False
-            matched = bool(_like_regex(str(pattern)).match(str(value)))
-            return (not matched) if expr.negated else matched
-        if isinstance(expr, Between):
-            value = self._eval(expr.operand, env, params)
-            low = self._eval(expr.low, env, params)
-            high = self._eval(expr.high, env, params)
-            if value is None or low is None or high is None:
-                return False
-            inside = low <= value <= high
-            return (not inside) if expr.negated else inside
-        if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, env, params)
-            is_null = value is None
-            return (not is_null) if expr.negated else is_null
-        if isinstance(expr, FuncCall):
-            raise ProgrammingError(
-                f"aggregate {expr.name} used outside SELECT projections"
-            )
-        raise ProgrammingError(f"cannot evaluate {type(expr).__name__}")
-
-    def _eval_binary(self, expr: BinaryOp, env: Env, params: Sequence[Any]) -> Any:
-        op = expr.op
-        if op == "AND":
-            return (
-                _truthy(self._eval(expr.left, env, params))
-                and _truthy(self._eval(expr.right, env, params))
-            )
-        if op == "OR":
-            return (
-                _truthy(self._eval(expr.left, env, params))
-                or _truthy(self._eval(expr.right, env, params))
-            )
-        left = self._eval(expr.left, env, params)
-        right = self._eval(expr.right, env, params)
-        if op in ("+", "-", "*", "/"):
-            if left is None or right is None:
-                return None
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                return None  # MySQL: division by zero yields NULL
-            return left / right
-        # Comparisons: NULL never compares true.
-        if left is None or right is None:
-            return False
-        left, right = _coerce_pair(left, right)
-        try:
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == ">":
-                return left > right
-            if op == "<=":
-                return left <= right
-            if op == ">=":
-                return left >= right
-        except TypeError:
-            return False
-        raise ProgrammingError(f"unknown operator {op!r}")
-
-    def _subquery_values(self, expr: InSubquery,
-                         params: Sequence[Any]) -> frozenset:
+    def _subquery_values(self, plan: Plan) -> frozenset:
         """Materialise an uncorrelated subquery once per statement."""
-        key = id(expr)
-        cached = self._subquery_cache.get(key)
+        cached = self._subquery_cache.get(plan)
         if cached is None:
-            result = self._execute_select(expr.subquery, params)
+            result = plan(self)
             if result.rows and len(result.rows[0]) != 1:
                 raise ProgrammingError(
                     "IN (SELECT ...) subquery must project exactly one column"
                 )
             cached = frozenset(row[0] for row in result.rows)
-            self._subquery_cache[key] = cached
+            self._subquery_cache[plan] = cached
         return cached
 
-    def _resolve_column(self, ref: ColumnRef, env: Env) -> Any:
-        if ref.table is not None:
-            row = env.get(ref.table)
-            if row is None:
-                raise ColumnError(f"unknown table alias {ref.table!r} in {ref}")
-            if ref.name not in row:
-                raise ColumnError(f"no column {ref.name!r} in alias {ref.table!r}")
-            return row[ref.name]
-        matches = [alias for alias, row in env.items() if ref.name in row]
-        if not matches:
-            raise ColumnError(f"unknown column {ref.name!r}")
-        if len(matches) > 1:
-            raise ColumnError(
-                f"ambiguous column {ref.name!r} (in {sorted(matches)})"
-            )
-        return env[matches[0]][ref.name]
 
-    # ------------------------------------------------------------------
-    # SELECT
-    # ------------------------------------------------------------------
-    def _execute_select(self, select: Select, params: Sequence[Any]) -> ResultSet:
-        envs = self._produce_envs(select, params)
-        if select.where is not None:
-            envs = [
-                env for env in envs
-                if _truthy(self._eval(select.where, env, params))
-            ]
+# ----------------------------------------------------------------------
+# Statements
+# ----------------------------------------------------------------------
 
-        if select.group_by or _has_aggregate(select.items):
-            out_columns, out_rows = self._project_grouped(select, envs, params)
-            env_for_order = None
+def compile_statement(statement: Statement, tables: Dict[str, Table]) -> Plan:
+    """Compile ``statement`` against the current schema.  Never raises:
+    problems become plans or closures that raise when run."""
+    if isinstance(statement, Select):
+        return _compile_select(statement, tables)
+    if isinstance(statement, Insert):
+        return _compile_insert(statement, tables)
+    if isinstance(statement, (Update, Delete)):
+        return _compile_write(statement, tables)
+    if isinstance(statement, CreateTable):
+        return functools.partial(_create_table, statement)
+    if isinstance(statement, CreateIndex):
+        return functools.partial(_create_index, statement)
+    if isinstance(statement, (Begin, Commit, Rollback)):
+        return _raiser(ProgrammingError, "transaction statements are handled "
+                       "by the engine, not the executor")
+    return _raiser(ProgrammingError, f"cannot execute {type(statement).__name__}")
+
+
+def _compile_select(select: Select, tables: Dict[str, Table]) -> Plan:
+    sources = ([(select.alias or select.table, select.table)]
+               if select.table is not None else [])
+    sources += [(join.alias, join.table) for join in select.joins]
+    aliases = [alias for alias, _ in sources]
+    duplicate = next((alias for i, alias in enumerate(aliases)
+                      if alias in aliases[:i]), None)
+    scope: Scope = tuple((alias, _table_columns(tables, name))
+                         for alias, name in sources)
+    produce = _compile_from(select, tables, scope, duplicate)
+    where = _compile(select.where, scope, tables) if select.where is not None else None
+    columns, project, columns_error = _compile_projection(select, scope, tables)
+    grouped = bool(select.group_by) or _has_aggregate(select.items)
+    if grouped:
+        project = _compile_grouping(select, scope, tables)
+    order = _compile_order(select, columns, scope, tables, grouped)
+    offset, limit = (None if expr is None else _compile(expr, (), tables)
+                     for expr in (select.offset, select.limit))
+    distinct = select.distinct
+
+    def run_select(run: Executor) -> ResultSet:
+        envs = produce(run)
+        if where is not None:
+            envs = [env for env in envs if where(env, run)]
+        if columns_error is not None:
+            raise columns_error
+        if grouped:
+            rows, envs = project(envs, run), None
         else:
-            out_columns, out_rows, env_for_order = self._project_plain(
-                select, envs, params
-            )
-
-        if select.distinct:
-            seen = set()
-            unique_rows = []
-            unique_envs = [] if env_for_order is not None else None
-            for i, row in enumerate(out_rows):
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-                    if unique_envs is not None:
-                        unique_envs.append(env_for_order[i])
-            out_rows = unique_rows
-            if unique_envs is not None:
-                env_for_order = unique_envs
-
-        if select.order_by:
-            out_rows = self._order_rows(
-                select.order_by, out_columns, out_rows, env_for_order, params
-            )
-
-        offset = self._eval_scalar(select.offset, params, default=0)
-        limit = self._eval_scalar(select.limit, params, default=None)
-        if offset:
-            out_rows = out_rows[int(offset):]
+            rows = [project(env, run) for env in envs]
+        if distinct:
+            first = {}
+            for i, row in enumerate(rows):
+                first.setdefault(row, i)
+            rows = list(first)
+            if envs is not None:
+                envs = [envs[i] for i in first.values()]
+        if order is not None:
+            rows = order(rows, envs, run)
+        skip = offset((), run) if offset is not None else 0
+        if skip:
+            rows = rows[int(skip):]
         if limit is not None:
-            out_rows = out_rows[: int(limit)]
+            count = limit((), run)
+            if count is not None:
+                rows = rows[: int(count)]
+        run._charge("row_emit", len(rows))
+        return ResultSet(columns=list(columns), rows=rows, rowcount=len(rows))
 
-        self._charge("row_emit", len(out_rows))
-        return ResultSet(columns=out_columns, rows=out_rows, rowcount=len(out_rows))
+    return run_select
 
-    def _eval_scalar(self, expr: Optional[Expression], params: Sequence[Any],
-                     default: Any) -> Any:
-        if expr is None:
-            return default
-        return self._eval(expr, {}, params)
 
-    def _produce_envs(self, select: Select, params: Sequence[Any]) -> List[Env]:
-        if select.table is None:
-            return [{}]
-        base = self._table(select.table)
-        base_alias = select.alias or select.table
-        known_aliases = {base_alias}
-        for join in select.joins:
-            if join.alias in known_aliases:
-                raise SQLSyntaxError(f"duplicate table alias {join.alias!r}")
-            known_aliases.add(join.alias)
+def _compile_from(select: Select, tables: Dict[str, Table], scope: Scope,
+                  duplicate: Optional[str]) -> Callable[[Executor], List[Env]]:
+    """The driving table's rows (index probe or charged scan), then each
+    join in declaration order."""
+    if select.table is None:
+        return lambda run: [()]
+    name = select.table
+    probes = _probe_candidates(scope[0], select.where, tables)
+    joins = [_compile_join(join, tables, scope[: i + 1])
+             for i, join in enumerate(select.joins)]
 
-        envs = [
-            {base_alias: row}
-            for row in self._base_rows(base, base_alias, select.where, params)
-        ]
-        for join in select.joins:
-            envs = self._apply_join(envs, join, params)
+    def produce(run: Executor) -> List[Env]:
+        table = run._table(name)
+        if duplicate is not None:
+            raise SQLSyntaxError(f"duplicate table alias {duplicate!r}")
+        rows = table.rows
+        envs = [(rows[row_id],) for row_id in _candidate_ids(run, table, probes)
+                if row_id in rows]
+        for join in joins:
+            envs = join(envs, run)
         return envs
 
-    def _base_rows(self, table: Table, alias: str,
-                   where: Optional[Expression],
-                   params: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Rows of the driving table, via index when the WHERE clause has
-        a usable top-level equality conjunct, else a charged full scan."""
-        probe = self._find_index_probe(table, alias, where, params)
-        if probe is not None:
-            index, value = probe
-            self._charge("index_probe")
-            row_ids = index.lookup(value)
-            self._charge("index_row", len(row_ids))
-            return [table.rows[row_id] for row_id in row_ids
-                    if row_id in table.rows]
-        self._charge("row_scan", len(table.rows))
-        return list(table.rows.values())
+    return produce
 
-    def _find_index_probe(self, table: Table, alias: str,
-                          where: Optional[Expression],
-                          params: Sequence[Any]):
-        """Look for ``col = constant`` among top-level AND conjuncts where
-        ``col`` is an indexed column of this table."""
-        for conjunct in _conjuncts(where):
-            if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
-                continue
-            for ref_side, value_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(ref_side, ColumnRef):
-                    continue
-                if ref_side.table is not None and ref_side.table != alias:
-                    continue
-                if not table.has_column(ref_side.name):
-                    continue
-                if not _is_constant(value_side):
-                    continue
-                index = table.index_on(ref_side.name)
-                if index is None:
-                    continue
-                value = self._eval(value_side, {}, params)
-                value = _coerce_for_column(table, ref_side.name, value)
-                return index, value
-        return None
 
-    def _apply_join(self, envs: List[Env], join, params: Sequence[Any]) -> List[Env]:
-        table = self._table(join.table)
-        # Determine which side of ON belongs to the joined table.
-        if join.left.table == join.alias:
-            inner_col, outer_ref = join.left.name, join.right
-        elif join.right.table == join.alias:
-            inner_col, outer_ref = join.right.name, join.left
-        elif table.has_column(join.left.name) and join.left.table is None:
-            inner_col, outer_ref = join.left.name, join.right
-        elif table.has_column(join.right.name) and join.right.table is None:
-            inner_col, outer_ref = join.right.name, join.left
-        else:
-            raise SQLSyntaxError(
-                f"cannot attribute ON columns of join to {join.alias!r}"
-            )
-        if not table.has_column(inner_col):
-            raise ColumnError(
-                f"join table {join.table!r} has no column {inner_col!r}"
-            )
+def _compile_join(join, tables: Dict[str, Table], scope: Scope):
+    """One equi-join step: index probe per row if the joined column is
+    indexed, else a transient hash table built by one scan.  Charges
+    its probes and matches once, with their totals."""
+    table = tables.get(join.table)
+    if table is None:
+        return _raiser(TableError, f"no such table: {join.table!r}")
+    # Determine which side of ON belongs to the joined table.
+    if join.left.table == join.alias:
+        inner_col, outer_ref = join.left.name, join.right
+    elif join.right.table == join.alias:
+        inner_col, outer_ref = join.right.name, join.left
+    elif table.has_column(join.left.name) and join.left.table is None:
+        inner_col, outer_ref = join.left.name, join.right
+    elif table.has_column(join.right.name) and join.right.table is None:
+        inner_col, outer_ref = join.right.name, join.left
+    else:
+        return _raiser(SQLSyntaxError,
+                       f"cannot attribute ON columns of join to {join.alias!r}")
+    if not table.has_column(inner_col):
+        return _raiser(ColumnError,
+                       f"join table {join.table!r} has no column {inner_col!r}")
+    outer_value = _compile(outer_ref, scope, tables)
+    null_row = {name: None for name in table.column_names}
+    left_outer = join.outer
 
+    def apply_join(envs: List[Env], run: Executor) -> List[Env]:
+        table = run._table(join.table)
         index = table.index_on(inner_col)
         if index is None:
-            # Build a transient hash table: one scan of the joined table.
             # Snapshot first: concurrent inserts (MyISAM-style shared
             # lock) may grow the dict while we iterate.
-            snapshot = list(table.rows.values())
-            self._charge("row_scan", len(snapshot))
-            buckets: Dict[Any, List[Dict[str, Any]]] = {}
-            for row in snapshot:
-                buckets.setdefault(row[inner_col], []).append(row)
-            lookup: Callable[[Any], List[Dict[str, Any]]] = (
-                lambda v: buckets.get(v, [])
-            )
-            probe_op = "join_probe"
+            snapshot = list(table.rows.items())
+            run._charge("row_scan", len(snapshot))
+            buckets: Dict[Any, Any] = {}
+            for row_id, row in snapshot:
+                buckets.setdefault(row[inner_col], []).append(row_id)
+            probe_op, match_op, copy = "join_probe", "row_emit", tuple
         else:
-            lookup = lambda v: [
-                table.rows[rid] for rid in index.lookup(v) if rid in table.rows
-            ]
-            probe_op = "index_probe"
-
-        null_row = {name: None for name in table.column_names}
+            # Index buckets are live sets: a concurrent insert may grow
+            # one, so each is copied (as HashIndex.lookup does).
+            buckets = index.buckets
+            probe_op, match_op, copy = "index_probe", "index_row", set
+        bucket_of, row_of = buckets.get, table.rows.get
         joined: List[Env] = []
+        matched = 0
         for env in envs:
-            outer_value = self._eval(outer_ref, env, params)
-            self._charge(probe_op)
-            matches = lookup(outer_value) if outer_value is not None else []
-            if matches:
-                self._charge("index_row" if index is not None else "row_emit",
-                             len(matches))
-                for match in matches:
-                    new_env = dict(env)
-                    new_env[join.alias] = match
-                    joined.append(new_env)
-            elif join.outer:
-                new_env = dict(env)
-                new_env[join.alias] = null_row
-                joined.append(new_env)
+            value = outer_value(env, run)
+            row_ids = bucket_of(value) if value is not None else None
+            found = 0
+            if row_ids:
+                for row_id in copy(row_ids):
+                    match = row_of(row_id)
+                    if match is not None:
+                        joined.append(env + (match,))
+                        found += 1
+            if found:
+                matched += found
+            elif left_outer:
+                joined.append(env + (null_row,))
+        run._charge(probe_op, len(envs))
+        run._charge(match_op, matched)
         return joined
 
-    # -- projection -----------------------------------------------------
-    def _output_columns(self, select: Select) -> List[str]:
-        columns: List[str] = []
-        for item in select.items:
-            if item.star:
-                if item.star_table is not None:
-                    aliases = [item.star_table]
-                else:
-                    aliases = self._all_aliases(select)
-                for alias in aliases:
-                    columns.extend(self._alias_columns(select, alias))
-            else:
-                columns.append(item.alias or _expression_label(item.expression))
-        return columns
+    return apply_join
 
-    def _all_aliases(self, select: Select) -> List[str]:
-        aliases = []
-        if select.table is not None:
-            aliases.append(select.alias or select.table)
-        aliases.extend(join.alias for join in select.joins)
-        return aliases
 
-    def _alias_columns(self, select: Select, alias: str) -> List[str]:
-        name = None
-        if select.table is not None and (select.alias or select.table) == alias:
-            name = select.table
-        else:
-            for join in select.joins:
-                if join.alias == alias:
-                    name = join.table
-                    break
-        if name is None:
-            raise ColumnError(f"unknown alias {alias!r} in star projection")
-        return list(self._table(name).column_names)
+def _probe_candidates(slot: Tuple[str, Tuple[str, ...]],
+                      where: Optional[Expression],
+                      tables: Dict[str, Table]) -> List[Tuple[str, RowFn]]:
+    """``col = constant`` among the top-level AND conjuncts, with ``col``
+    a column of this slot's table; whether ``col`` is indexed is looked
+    up per execution."""
+    alias, columns = slot
+    candidates = []
+    for conjunct in _conjuncts(where):
+        if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
+            continue
+        for ref_side, value_side in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (isinstance(ref_side, ColumnRef)
+                    and ref_side.table in (None, alias)
+                    and ref_side.name in columns
+                    and isinstance(value_side, (Literal, Placeholder))):
+                candidates.append(
+                    (ref_side.name, _compile(value_side, (), tables)))
+    return candidates
 
-    def _project_env(self, select: Select, env: Env,
-                     params: Sequence[Any]) -> Tuple:
-        values: List[Any] = []
-        for item in select.items:
-            if item.star:
-                aliases = (
-                    [item.star_table] if item.star_table is not None
-                    else self._all_aliases(select)
-                )
-                for alias in aliases:
-                    if alias not in env:
-                        raise ColumnError(f"unknown alias {alias!r}")
-                    table_columns = self._alias_columns(select, alias)
-                    values.extend(env[alias][c] for c in table_columns)
-            else:
-                values.append(self._eval(item.expression, env, params))
-        return tuple(values)
 
-    def _project_plain(self, select: Select, envs: List[Env],
-                       params: Sequence[Any]):
-        columns = self._output_columns(select)
-        rows = [self._project_env(select, env, params) for env in envs]
-        return columns, rows, envs
+def _candidate_ids(run: Executor, table: Table,
+                   candidates: List[Tuple[str, RowFn]]) -> Iterable[int]:
+    """Row ids from the first candidate with an index, else every row
+    id: a charged full scan."""
+    for column, value_of in candidates:
+        index = table.index_on(column)
+        if index is not None:
+            value = _coerce_for_column(table, column, value_of((), run))
+            run._charge("index_probe")
+            row_ids = index.lookup(value)
+            run._charge("index_row", len(row_ids))
+            return row_ids
+    # A snapshot: concurrent inserts may grow the dict meanwhile.
+    run._charge("row_scan", len(table.rows))
+    return list(table.rows)
 
-    def _project_grouped(self, select: Select, envs: List[Env],
-                         params: Sequence[Any]):
-        columns = self._output_columns(select)
-        if select.group_by:
+
+# -- projection -----------------------------------------------------------
+def _compile_projection(select: Select, scope: Scope, tables: Dict[str, Table]):
+    """Output column names plus the per-row projection; a bad star alias
+    is returned as the error the projection step raises."""
+    columns: List[str] = []
+    getters: List[RowFn] = []
+    positions = {alias: i for i, (alias, _) in enumerate(scope)}
+    for item in select.items:
+        if not item.star:
+            columns.append(item.alias or _expression_label(item.expression))
+            getters.append(_compile(item.expression, scope, tables))
+            continue
+        for alias in ([item.star_table] if item.star_table is not None
+                      else list(positions)):
+            if alias not in positions:
+                error = ColumnError(f"unknown alias {alias!r} in star projection")
+                return columns, None, error
+            slot = positions[alias]
+            for name in scope[slot][1]:
+                columns.append(name)
+                getters.append(_column_getter(slot, name))
+    return columns, (lambda env, run: tuple([get(env, run) for get in getters])), None
+
+
+def _compile_grouping(select: Select, scope: Scope, tables: Dict[str, Table]):
+    """GROUP BY (or one group of everything), HAVING, and the grouped
+    projection: aggregates reduce over the group, bare columns use the
+    group's first row (MySQL's permissive ONLY_FULL_GROUP_BY-off
+    behaviour)."""
+    keys = [_compile(expr, scope, tables) for expr in select.group_by]
+    having = (_compile(select.having, scope, tables, grouped=True)
+              if select.having is not None else None)
+    items = [
+        _raiser(SQLSyntaxError,
+                "SELECT * cannot be combined with GROUP BY/aggregates")
+        if item.star else _compile(item.expression, scope, tables, grouped=True)
+        for item in select.items
+    ]
+
+    def project_groups(envs: List[Env], run: Executor) -> List[Tuple]:
+        run._charge("row_group", len(envs))
+        if keys:
             groups: Dict[Tuple, List[Env]] = {}
-            order: List[Tuple] = []
             for env in envs:
-                key = tuple(
-                    self._eval(expr, env, params) for expr in select.group_by
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(env)
-                self._charge("row_group")
-            grouped = [groups[key] for key in order]
-        else:
-            # Aggregates without GROUP BY: one group of everything.
-            self._charge("row_group", len(envs))
-            grouped = [envs]
-
-        rows: List[Tuple] = []
-        for group in grouped:
-            if not group and not select.group_by:
-                # e.g. COUNT(*) over an empty table still yields a row.
-                group_env_list: List[Env] = []
-            else:
-                group_env_list = group
-            if select.having is not None:
-                having_value = self._eval_grouped(
-                    select.having, group_env_list, params
-                )
-                if not _truthy(having_value):
-                    continue
-            values = []
-            for item in select.items:
-                if item.star:
-                    raise SQLSyntaxError(
-                        "SELECT * cannot be combined with GROUP BY/aggregates"
-                    )
-                values.append(
-                    self._eval_grouped(item.expression, group_env_list, params)
-                )
-            rows.append(tuple(values))
-        return columns, rows
-
-    def _eval_grouped(self, expr: Expression, group: List[Env],
-                      params: Sequence[Any]) -> Any:
-        """Evaluate an expression in grouped context: aggregates reduce
-        over the group; bare columns use the group's first row (MySQL's
-        permissive ONLY_FULL_GROUP_BY-off behaviour)."""
-        if isinstance(expr, FuncCall):
-            return self._eval_aggregate(expr, group, params)
-        if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                left = self._eval_grouped(expr.left, group, params)
-                if expr.op == "AND":
-                    return _truthy(left) and _truthy(
-                        self._eval_grouped(expr.right, group, params)
-                    )
-                return _truthy(left) or _truthy(
-                    self._eval_grouped(expr.right, group, params)
-                )
-            rebuilt = BinaryOp(
-                expr.op,
-                Literal(self._eval_grouped(expr.left, group, params)),
-                Literal(self._eval_grouped(expr.right, group, params)),
-            )
-            return self._eval_binary(rebuilt, {}, params)
-        if isinstance(expr, UnaryOp):
-            inner = self._eval_grouped(expr.operand, group, params)
-            if expr.op == "NOT":
-                return not _truthy(inner)
-            return None if inner is None else -inner
-        representative = group[0] if group else {}
-        return self._eval(expr, representative, params)
-
-    def _eval_aggregate(self, call: FuncCall, group: List[Env],
-                        params: Sequence[Any]) -> Any:
-        if call.star:
-            return len(group)
-        assert call.argument is not None
-        values = [
-            self._eval(call.argument, env, params) for env in group
-        ]
-        values = [v for v in values if v is not None]
-        if call.distinct:
-            values = list(dict.fromkeys(values))
-        name = call.name
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values)
-        if name == "MAX":
-            return max(values)
-        raise ProgrammingError(f"unknown aggregate {name!r}")
-
-    # -- ordering ---------------------------------------------------------
-    def _order_rows(self, order_by: Sequence[OrderItem], columns: List[str],
-                    rows: List[Tuple], envs: Optional[List[Env]],
-                    params: Sequence[Any]) -> List[Tuple]:
-        self._charge("row_sort", len(rows))
-        column_positions = {name: i for i, name in enumerate(columns)}
-
-        def key_parts(index_row: Tuple[int, Tuple]) -> Tuple:
-            i, row = index_row
-            parts = []
-            for item in order_by:
-                value = None
-                expr = item.expression
-                if (
-                    isinstance(expr, ColumnRef)
-                    and expr.table is None
-                    and expr.name in column_positions
-                ):
-                    value = row[column_positions[expr.name]]
-                elif isinstance(expr, Literal) and isinstance(expr.value, int):
-                    # ORDER BY 2 → second output column (1-based)
-                    position = expr.value - 1
-                    if 0 <= position < len(row):
-                        value = row[position]
-                elif envs is not None:
-                    value = self._eval(expr, envs[i], params)
+                key = (tuple([key_of(env, run) for key_of in keys])
+                       if len(keys) > 1 else (keys[0](env, run),))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [env]
                 else:
-                    raise ColumnError(
-                        f"ORDER BY expression {expr!r} does not name an "
-                        f"output column of a grouped query"
-                    )
-                parts.append(_SortKey(value, item.ascending))
-            return tuple(parts)
+                    group.append(env)
+            grouped = list(groups.values())
+        else:
+            grouped = [envs]
+        rows = []
+        for group in grouped:
+            if having is not None and not having(group, run):
+                continue
+            rows.append(tuple([item(group, run) for item in items]))
+        return rows
 
-        decorated = sorted(enumerate(rows), key=key_parts)
-        return [row for _, row in decorated]
+    return project_groups
 
-    # ------------------------------------------------------------------
-    # INSERT / UPDATE / DELETE / CREATE
-    # ------------------------------------------------------------------
-    def _execute_insert(self, insert: Insert, params: Sequence[Any]) -> ResultSet:
-        table = self._table(insert.table)
+
+def _compile_order(select: Select, columns: List[str], scope: Scope,
+                   tables: Dict[str, Table], grouped: bool):
+    """ORDER BY: every row's rank is computed once per item, then one
+    stable sort per item, last to first."""
+    if not select.order_by:
+        return None
+    positions = {name: i for i, name in enumerate(columns)}
+    items = []
+    for item in select.order_by:
+        expr = item.expression
+        if (isinstance(expr, ColumnRef) and expr.table is None
+                and expr.name in positions):
+            position = positions[expr.name]
+            value_of = lambda envs, i, row, run, p=position: row[p]
+        elif isinstance(expr, Literal) and isinstance(expr.value, int):
+            # ORDER BY 2 → second output column (1-based); out of range
+            # orders as NULL.
+            position = expr.value - 1
+            value_of = (lambda envs, i, row, run, p=position: row[p]
+                        if 0 <= p < len(row) else None)
+        elif not grouped:
+            on_env = _compile(expr, scope, tables)
+            value_of = lambda envs, i, row, run, f=on_env: f(envs[i], run)
+        else:
+            message = (f"ORDER BY expression {expr!r} does not name an "
+                       f"output column of a grouped query")
+            value_of = _raiser(ColumnError, message)
+        items.append((value_of, item.ascending))
+
+    def order(rows: List[Tuple], envs: Optional[List[Env]],
+              run: Executor) -> List[Tuple]:
+        run._charge("row_sort", len(rows))
+        ranks = [[_rank(value_of(envs, i, row, run)) for i, row in enumerate(rows)]
+                 for value_of, _ in items]
+        permutation = list(range(len(rows)))
+        for (_, ascending), rank in zip(reversed(items), reversed(ranks)):
+            permutation.sort(key=rank.__getitem__, reverse=not ascending)
+        return [rows[i] for i in permutation]
+
+    return order
+
+
+def _rank(value: Any) -> Tuple:
+    """Sort rank: NULLs first, then numbers (bools as 0/1), then
+    everything else as text, so mixed types order without raising."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (int, float)):
+        return (1, value)
+    return (2, str(value))
+
+
+# -- INSERT / UPDATE / DELETE / CREATE -------------------------------------
+def _compile_insert(insert: Insert, tables: Dict[str, Table]) -> Plan:
+    rows = [[_compile(expr, (), tables) for expr in row] for row in insert.rows]
+
+    def run_insert(run: Executor) -> ResultSet:
+        table = run._table(insert.table)
         columns = list(insert.columns) if insert.columns else table.column_names
         lastrowid = None
-        for value_row in insert.rows:
+        for value_row in rows:
             if len(value_row) != len(columns):
                 raise ProgrammingError(
                     f"INSERT row has {len(value_row)} values for "
                     f"{len(columns)} columns"
                 )
-            values = {
-                column: self._eval(expr, {}, params)
-                for column, expr in zip(columns, value_row)
-            }
+            values = {column: value_of((), run)
+                      for column, value_of in zip(columns, value_row)}
             lastrowid = table.insert(values)
-            if self._undo is not None:
-                self._undo.record_insert(table, table.last_internal_row_id)
-            self._charge("row_write")
-        return ResultSet(rowcount=len(insert.rows), lastrowid=lastrowid)
+            if run._undo is not None:
+                run._undo.record_insert(table, table.last_internal_row_id)
+            run._charge("row_write")
+        return ResultSet(rowcount=len(rows), lastrowid=lastrowid)
 
-    def _matching_row_ids(self, table: Table, alias: str,
-                          where: Optional[Expression],
-                          params: Sequence[Any]) -> List[int]:
-        probe = self._find_index_probe(table, alias, where, params)
-        if probe is not None:
-            index, value = probe
-            self._charge("index_probe")
-            candidates = index.lookup(value)
-            self._charge("index_row", len(candidates))
-        else:
-            self._charge("row_scan", len(table.rows))
-            candidates = list(table.rows.keys())
+    return run_insert
+
+
+def _compile_write(statement, tables: Dict[str, Table]) -> Plan:
+    """UPDATE or DELETE: find the matching rows (index probe or scan,
+    then WHERE), then write each one, charged per row."""
+    name = statement.table
+    scope: Scope = ((name, _table_columns(tables, name)),)
+    probes = _probe_candidates(scope[0], statement.where, tables)
+    where = (_compile(statement.where, scope, tables)
+             if statement.where is not None else None)
+    is_update = isinstance(statement, Update)
+    assignments = [(column, _compile(expr, scope, tables))
+                   for column, expr in (statement.assignments if is_update else ())]
+
+    def run_write(run: Executor) -> ResultSet:
+        table = run._table(name)
+        candidates = _candidate_ids(run, table, probes)
         if where is None:
-            return list(candidates)
-        matched = []
-        for row_id in candidates:
-            row = table.rows.get(row_id)
-            if row is None:
-                continue
-            if _truthy(self._eval(where, {alias: row}, params)):
-                matched.append(row_id)
-        return matched
-
-    def _execute_update(self, update: Update, params: Sequence[Any]) -> ResultSet:
-        table = self._table(update.table)
-        row_ids = self._matching_row_ids(table, update.table, update.where, params)
+            row_ids = list(candidates)
+        else:
+            rows = table.rows
+            row_ids = [row_id for row_id in candidates
+                       if row_id in rows and where((rows[row_id],), run)]
+        undo = run._undo
         for row_id in row_ids:
             row = table.rows[row_id]
-            env = {update.table: row}
-            changes = {
-                column: self._eval(expr, env, params)
-                for column, expr in update.assignments
-            }
-            if self._undo is not None:
-                before = {column: row[column] for column in changes}
-                self._undo.record_update(table, row_id, before)
-            table.update_row(row_id, changes)
-            self._charge("row_write")
+            if is_update:
+                changes = {column: value_of((row,), run)
+                           for column, value_of in assignments}
+                if undo is not None:
+                    undo.record_update(table, row_id,
+                                       {column: row[column] for column in changes})
+                table.update_row(row_id, changes)
+            else:
+                if undo is not None:
+                    undo.record_delete(table, row)
+                table.delete_row(row_id)
+            run._charge("row_write")
         return ResultSet(rowcount=len(row_ids))
 
-    def _execute_delete(self, delete: Delete, params: Sequence[Any]) -> ResultSet:
-        table = self._table(delete.table)
-        row_ids = self._matching_row_ids(table, delete.table, delete.where, params)
-        for row_id in row_ids:
-            if self._undo is not None:
-                self._undo.record_delete(table, table.rows[row_id])
-            table.delete_row(row_id)
-            self._charge("row_write")
-        return ResultSet(rowcount=len(row_ids))
+    return run_write
 
-    def _execute_create_table(self, create: CreateTable) -> ResultSet:
-        if create.name in self._tables:
-            raise TableError(f"table {create.name!r} already exists")
-        self._tables[create.name] = Table(create.name, list(create.columns))
-        return ResultSet()
 
-    def _execute_create_index(self, create: CreateIndex) -> ResultSet:
-        table = self._table(create.table)
-        table.create_index(create.name, create.column)
-        return ResultSet()
+def _create_table(create: CreateTable, run: Executor) -> ResultSet:
+    if create.name in run._tables:
+        raise TableError(f"table {create.name!r} already exists")
+    run._tables[create.name] = Table(create.name, list(create.columns))
+    return ResultSet()
+
+
+def _create_index(create: CreateIndex, run: Executor) -> ResultSet:
+    run._table(create.table).create_index(create.name, create.column)
+    return ResultSet()
+
+
+# ----------------------------------------------------------------------
+# Expressions
+# ----------------------------------------------------------------------
+
+def _compile(expr: Expression, scope: Scope, tables: Dict[str, Table],
+             grouped: bool = False) -> RowFn:
+    """Compile ``expr`` into ``f(env, run)``, or with ``grouped`` into
+    ``f(group, run)`` over a list of envs: aggregates reduce over the
+    group, operators combine their grouped operands, and anything else
+    reads the group's first row (MySQL's permissive
+    ONLY_FULL_GROUP_BY-off behaviour)."""
+    if isinstance(expr, BinaryOp):
+        left = _compile(expr.left, scope, tables, grouped)
+        right = _compile(expr.right, scope, tables, grouped)
+        if expr.op == "AND":
+            return lambda env, run: bool(left(env, run)) and bool(right(env, run))
+        if expr.op == "OR":
+            return lambda env, run: bool(left(env, run)) or bool(right(env, run))
+        if expr.op in _COMPARE:
+            return _compile_comparison(_COMPARE[expr.op], left, right)
+        return _compile_arithmetic(expr.op, left, right)
+    if isinstance(expr, UnaryOp):
+        operand = _compile(expr.operand, scope, tables, grouped)
+        if expr.op == "NOT":
+            return lambda env, run: not operand(env, run)
+        if expr.op == "-":
+            return lambda env, run: _negate(operand(env, run))
+        return _raiser(ProgrammingError, f"unknown unary operator {expr.op!r}")
+    if grouped:
+        if isinstance(expr, FuncCall):
+            return _compile_aggregate(expr, scope, tables)
+        on_row, on_empty = _compile(expr, scope, tables), _compile(expr, (), tables)
+        return lambda group, run: on_row(group[0], run) if group else on_empty((), run)
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda env, run: value
+    if isinstance(expr, Placeholder):
+        return _placeholder(expr.index)
+    if isinstance(expr, ColumnRef):
+        return _compile_column(expr, scope)
+    if isinstance(expr, (InSubquery, InList, Like, Between, IsNull)):
+        return _compile_predicate(expr, scope, tables)
+    if isinstance(expr, FuncCall):
+        return _raiser(ProgrammingError,
+                       f"aggregate {expr.name} used outside SELECT projections")
+    return _raiser(ProgrammingError, f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_aggregate(call: FuncCall, scope: Scope,
+                       tables: Dict[str, Table]) -> RowFn:
+    if call.star:
+        return lambda group, run: len(group)
+    assert call.argument is not None
+    argument = _compile(call.argument, scope, tables)
+    distinct, is_count = call.distinct, call.name == "COUNT"
+    reduce = _AGGREGATES.get(call.name) or _raiser(
+        ProgrammingError, f"unknown aggregate {call.name!r}")
+
+    def aggregate(group: List[Env], run: Executor) -> Any:
+        values = [value for value in [argument(env, run) for env in group]
+                  if value is not None]
+        if distinct:
+            values = list(dict.fromkeys(values))
+        if is_count:
+            return len(values)
+        return reduce(values) if values else None
+
+    return aggregate
+
+
+_AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
+    "SUM": sum,
+    "AVG": lambda values: sum(values) / len(values),
+    "MIN": min,
+    "MAX": max,
+}
+
+
+def _compile_column(ref: ColumnRef, scope: Scope) -> RowFn:
+    """Bind a column to its slot; unknown or ambiguous columns raise
+    when a row is evaluated."""
+    name = ref.name
+    if ref.table is not None:
+        slots = [i for i, (alias, _) in enumerate(scope) if alias == ref.table]
+        if not slots:
+            return _raiser(ColumnError,
+                           f"unknown table alias {ref.table!r} in {ref}")
+        if name not in scope[slots[0]][1]:
+            return _raiser(ColumnError,
+                           f"no column {name!r} in alias {ref.table!r}")
+        return _column_getter(slots[0], name)
+    slots = [i for i, (_, columns) in enumerate(scope) if name in columns]
+    if not slots:
+        return _raiser(ColumnError, f"unknown column {name!r}")
+    if len(slots) > 1:
+        matches = sorted(scope[i][0] for i in slots)
+        return _raiser(ColumnError, f"ambiguous column {name!r} (in {matches})")
+    return _column_getter(slots[0], name)
+
+
+def _column_getter(slot: int, name: str) -> RowFn:
+    return lambda env, run: env[slot][name]
+
+
+def _placeholder(index: int) -> RowFn:
+    def placeholder(env: Env, run: Executor) -> Any:
+        try:
+            return run.params[index]
+        except IndexError:
+            raise ProgrammingError(
+                f"statement requires at least {index + 1} parameters, "
+                f"got {len(run.params)}"
+            ) from None
+    return placeholder
+
+
+def _compile_comparison(compare: Callable[[Any, Any], bool],
+                        left: RowFn, right: RowFn) -> RowFn:
+    """NULL never compares true; a number and a numeric string compare
+    numerically; incomparable types compare false."""
+    def comparison(env: Env, run: Executor) -> bool:
+        lhs, rhs = left(env, run), right(env, run)
+        if lhs is None or rhs is None:
+            return False
+        if lhs.__class__ is not rhs.__class__:
+            lhs, rhs = _coerce_pair(lhs, rhs)
+        try:
+            return compare(lhs, rhs)
+        except TypeError:
+            return False
+    return comparison
+
+
+def _compile_arithmetic(op: str, left: RowFn, right: RowFn) -> RowFn:
+    """NULL in, NULL out; MySQL makes division by zero NULL too."""
+    apply = _ARITHMETIC.get(op)
+    if apply is None:
+        return _raiser(ProgrammingError, f"unknown operator {op!r}")
+
+    def arithmetic(env: Env, run: Executor) -> Any:
+        lhs, rhs = left(env, run), right(env, run)
+        return None if lhs is None or rhs is None else apply(lhs, rhs)
+    return arithmetic
+
+
+_COMPARE: Dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda lhs, rhs: None if rhs == 0 else lhs / rhs,
+}
+
+
+def _negate(value: Any) -> Any:
+    return None if value is None else -value
+
+
+def _compile_predicate(expr: Expression, scope: Scope,
+                       tables: Dict[str, Table]) -> RowFn:
+    """IN (SELECT ...), IN (...), LIKE, BETWEEN and IS NULL.  All but
+    IS NULL are false when their operand is NULL."""
+    operand, negated = _compile(expr.operand, scope, tables), expr.negated
+    if isinstance(expr, IsNull):
+        return lambda env, run: (operand(env, run) is None) != negated
+    if isinstance(expr, InSubquery):
+        subquery = _compile_select(expr.subquery, tables)
+        members = lambda env, run: run._subquery_values(subquery)
+    elif isinstance(expr, InList):
+        options = [_compile(option, scope, tables) for option in expr.options]
+        members = lambda env, run: [option(env, run) for option in options]
+    elif isinstance(expr, Between):
+        low, high = _compile(expr.low, scope, tables), _compile(expr.high, scope, tables)
+
+        def between(env: Env, run: Executor) -> bool:
+            value, lo, hi = operand(env, run), low(env, run), high(env, run)
+            if value is None or lo is None or hi is None:
+                return False
+            return (lo <= value <= hi) != negated
+        return between
+    else:
+        return _compile_like(operand, expr.pattern, negated, scope, tables)
+
+    def member_of(env: Env, run: Executor) -> bool:
+        value = operand(env, run)
+        if value is None:
+            return False
+        return (value in members(env, run)) != negated
+    return member_of
+
+
+def _compile_like(operand: RowFn, pattern_expr: Expression, negated: bool,
+                  scope: Scope, tables: Dict[str, Table]) -> RowFn:
+    if isinstance(pattern_expr, Literal) and pattern_expr.value is not None:
+        match = _like_regex(str(pattern_expr.value)).match
+
+        def like_constant(env: Env, run: Executor) -> bool:
+            value = operand(env, run)
+            if value is None:
+                return False
+            return (match(str(value)) is not None) != negated
+        return like_constant
+    pattern = _compile(pattern_expr, scope, tables)
+    # The last pattern seen and its regex, swapped as one tuple so
+    # threads sharing the plan never see a torn pair: a parameterised
+    # pattern costs one cache lookup per execution, not one per row.
+    last: List[Tuple[Optional[str], Any]] = [(None, None)]
+
+    def like(env: Env, run: Executor) -> bool:
+        value, text = operand(env, run), pattern(env, run)
+        if value is None or text is None:
+            return False
+        seen, regex = last[0]
+        if str(text) != seen:
+            regex = _like_regex(str(text))
+            last[0] = (str(text), regex)
+        return (regex.match(str(value)) is not None) != negated
+    return like
 
 
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
 
-def _truthy(value: Any) -> bool:
-    return bool(value)
+def _raiser(error: type, message: str) -> Callable[..., Any]:
+    """A closure that raises ``error(message)`` whenever it is called."""
+    def raise_error(*_args: Any) -> Any:
+        raise error(message)
+    return raise_error
+
+
+def _table_columns(tables: Dict[str, Table], name: str) -> Tuple[str, ...]:
+    table = tables.get(name)
+    return tuple(table.column_names) if table is not None else ()
 
 
 def _coerce_for_column(table: Table, column: str, value: Any) -> Any:
@@ -787,10 +814,6 @@ def _conjuncts(where: Optional[Expression]) -> Iterable[Expression]:
             yield node
 
 
-def _is_constant(expr: Expression) -> bool:
-    return isinstance(expr, (Literal, Placeholder))
-
-
 def _has_aggregate(items: Sequence[SelectItem]) -> bool:
     return any(
         _contains_aggregate(item.expression) for item in items if not item.star
@@ -817,33 +840,3 @@ def _expression_label(expr: Expression) -> str:
     if isinstance(expr, Literal):
         return repr(expr.value)
     return "expr"
-
-
-class _SortKey:
-    """Orders values with NULLs first and mixed types without raising."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value: Any, ascending: bool):
-        self.value = value
-        self.ascending = ascending
-
-    def _rank(self) -> Tuple:
-        value = self.value
-        if value is None:
-            return (0, 0)
-        if isinstance(value, bool):
-            return (1, int(value))
-        if isinstance(value, (int, float)):
-            return (1, value)
-        return (2, str(value))
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        if self.ascending:
-            return self._rank() < other._rank()
-        return self._rank() > other._rank()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _SortKey):
-            return NotImplemented
-        return self._rank() == other._rank()

@@ -98,6 +98,12 @@ class HashIndex:
     def lookup(self, value: Any) -> Set[int]:
         return set(self._buckets.get(value, ()))
 
+    @property
+    def buckets(self) -> Dict[Any, Set[int]]:
+        """The live value -> row-id-set map; copy a set before iterating
+        it, since a concurrent insert may grow it."""
+        return self._buckets
+
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 

@@ -103,6 +103,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> Dict:
             "completed": results.total_completions(),
             "fault_report": results.fault_report,
             "resilience_report": results.resilience_report,
+            "errors": results.errors,
         }
     return document
 
@@ -137,6 +138,13 @@ def format_chaos_report(document: Dict) -> str:
             + ", ".join(f"{key}={value}"
                         for key, value in sorted(totals.items()))
         )
+        by_status: Dict[str, int] = {}
+        for page_errors in entry["errors"].values():
+            for status, count in page_errors.items():
+                by_status[status] = by_status.get(status, 0) + count
+        lines.append("error responses: " + (", ".join(
+            f"{status}={count}" for status, count in sorted(by_status.items()))
+            or "none"))
         breaker = resilience["breaker"]
         transitions = ", ".join(
             f"{state}×{count}"

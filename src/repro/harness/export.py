@@ -113,6 +113,7 @@ def server_stats_document(stats) -> Dict:
     return {
         "completions": stats.completions(),
         "total_completions": stats.total_completions(),
+        "errors": stats.errors(),
         "response_times": stats.response_time_summary(),
         "generation_times": stats.mean_generation_times(),
         "stage_timings": stats.stage_timing_summary(),

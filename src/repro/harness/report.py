@@ -228,6 +228,13 @@ def format_connection_utilization(stats) -> str:
     return "\n".join(lines)
 
 
+def format_errors(errors: Dict[str, Dict[str, int]]) -> str:
+    """``ServerStats.errors()`` on one line: ``/home 500×2, ...``."""
+    return ", ".join(f"{page} {status}×{count}"
+                     for page, by_status in sorted(errors.items())
+                     for status, count in sorted(by_status.items()))
+
+
 def format_resilience_report(stats) -> str:
     """Fault-injection and policy counters from ``ServerStats``.
 
@@ -255,6 +262,8 @@ def format_resilience_report(stats) -> str:
             f"{entry['late_completions']:>6d} "
             f"{entry['worker_crashes']:>8d}"
         )
+    lines.append("")
+    lines.append("Error responses: " + (format_errors(stats.errors()) or "none"))
     faults = report["faults_injected"]
     lines.append("")
     lines.append("Faults injected per site")

@@ -495,7 +495,10 @@ class Pipeline:
         keep_alive = (job.request.keep_alive
                       if job.request is not None else False)
         sent = job.client.send_response(response, keep_alive=keep_alive)
-        if sent:
+        if sent and not 200 <= response.status < 400:
+            # e.g. the 500 a raising handler becomes: sent, but an error.
+            self.stats.record_error(job.page_key or "?", response.status)
+        elif sent:
             # A 0-byte send means the peer was already gone; counting
             # it as a completion would inflate throughput.
             self.stats.record_completion(
@@ -530,7 +533,8 @@ class Pipeline:
         response = HTTPResponse.error(status, message)
         if headers:
             response.headers.update(headers)
-        job.client.send_response(response, keep_alive=False)
+        if job.client.send_response(response, keep_alive=False):
+            self.stats.record_error(job.page_key or "?", status)
         job.client.close_after_error()
 
     # ------------------------------------------------------------------

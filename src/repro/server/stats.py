@@ -43,6 +43,9 @@ class ServerStats:
         self.started_at = self.clock.now()
         self._lock = threading.Lock()
         self._completions: Dict[str, int] = {}
+        #: page -> {status -> count} for every response sent that was
+        #: not a 2xx/3xx (those are completions).
+        self._errors: Dict[str, Dict[int, int]] = {}
         self._response_times: Dict[str, SummaryAccumulator] = {}
         self._generation_times: Dict[str, WelfordAccumulator] = {}
         self._stage_queue_waits: Dict[str, SummaryAccumulator] = {}
@@ -100,6 +103,13 @@ class ServerStats:
                     series = TimeSeries(f"completions/{label}")
                     self._class_events[label] = series
                 series.append(now, 1.0)
+
+    def record_error(self, page: str, status: int) -> None:
+        """One error response (any status outside 2xx/3xx) sent for
+        ``page``; it is not a completion."""
+        with self._lock:
+            by_status = self._errors.setdefault(page, {})
+            by_status[status] = by_status.get(status, 0) + 1
 
     def record_generation_time(self, page: str, seconds: float) -> None:
         """Data-generation time for a dynamic page (server-side view)."""
@@ -320,6 +330,16 @@ class ServerStats:
     def total_completions(self) -> int:
         with self._lock:
             return sum(self._completions.values())
+
+    def errors(self) -> Dict[str, Dict[str, int]]:
+        """Error responses per page and status, e.g. ``{"/home":
+        {"500": 2}}`` (string statuses, as JSON stores them)."""
+        with self._lock:
+            return {
+                page: {str(status): count
+                       for status, count in sorted(by_status.items())}
+                for page, by_status in sorted(self._errors.items())
+            }
 
     def mean_response_times(self) -> Dict[str, float]:
         with self._lock:

@@ -39,6 +39,9 @@ class SimResults:
         #: live server's exports (filled in by the workload runner).
         self.fault_report: Optional[Dict] = None
         self.resilience_report: Optional[Dict] = None
+        #: Chaos runs only: error responses per page and status, as
+        #: ``ServerStats.errors()`` reports them live.
+        self.errors: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     def in_window(self, now: float) -> bool:

@@ -205,9 +205,12 @@ class SimServer:
                     stage = yield from step(request, stage)
                 finally:
                     pool.release()
-        except SimRequestFailed:
+        except SimRequestFailed as failure:
             # The live side sent an error response (or nothing, for a
             # dropped client); either way no completion is recorded.
+            if failure.status is not None:
+                harness.stats.record_error(request.page or "?",
+                                           failure.status)
             return
         if not harness.on_client_write(request.page, last_stage):
             return

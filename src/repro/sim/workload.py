@@ -279,6 +279,7 @@ def run_tpcw_simulation(server_kind: str,
         harness = server.fault_harness
         results.fault_report = harness.plan.fault_report()
         results.resilience_report = harness.stats.resilience_report()
+        results.errors = harness.stats.errors()
     return results
 
 

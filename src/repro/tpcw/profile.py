@@ -21,7 +21,7 @@ population scale.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.db.engine import Database
 from repro.db.pool import ConnectionPool
@@ -55,21 +55,24 @@ class PageMeasurement:
 
 
 class _StatementRecorder:
-    """Wraps a Database to record which tables each page touches."""
+    """Wraps a Database to record which tables each page touches, and
+    every statement with its parameters (``log``)."""
 
     def __init__(self, database: Database):
         self.database = database
         self.reads: set = set()
         self.writes: set = set()
         self.statements = 0
+        self.log: List[Tuple[str, Tuple]] = []
 
     def start_page(self) -> None:
         self.reads = set()
         self.writes = set()
         self.statements = 0
 
-    def observe(self, sql: str) -> None:
+    def observe(self, sql: str, params: Sequence = ()) -> None:
         self.statements += 1
+        self.log.append((sql, tuple(params)))
         statement = self.database.prepare(sql)
         if isinstance(statement, Select):
             if statement.table is not None:
@@ -104,7 +107,7 @@ def measure_pages(app: TPCWApplication, seed: int = 7,
         original_execute = connection._execute
 
         def recording_execute(sql, params):
-            recorder.observe(sql)
+            recorder.observe(sql, params)
             return original_execute(sql, params)
 
         connection._execute = recording_execute  # type: ignore[method-assign]

@@ -33,14 +33,16 @@ class TestLikeRegexCache:
             database.execute(
                 "INSERT INTO t (id, name) VALUES (%s, %s)", (i, name)
             )
-        before = _like_regex.cache_info().misses
-        for _ in range(3):
+        before = _like_regex.cache_info()
+        executions = 3
+        for _ in range(executions):
             rows = database.execute(
                 "SELECT name FROM t WHERE name LIKE 'Alpha%'"
             ).rows
             assert len(rows) == 2
         info = _like_regex.cache_info()
-        # One compile for the pattern; every row evaluation after the
-        # first is a cache hit.
-        assert info.misses == before + 1
-        assert info.hits >= 8
+        # One compile for the pattern, and at most one lookup per
+        # execution: rows never consult the cache.
+        assert info.misses == before.misses + 1
+        lookups = info.hits + info.misses - before.hits - before.misses
+        assert lookups <= executions

@@ -106,6 +106,23 @@ class TestBothServers:
         assert response.status == 500
         assert b"RuntimeError" in response.body
 
+    def test_raising_handler_is_an_error_not_a_completion(self, server):
+        host, port = server.address
+        assert http_request(host, port, "/boom").status == 500
+        assert _eventually(lambda: server.stats.errors()) == {
+            "/boom": {"500": 1}}
+        assert server.stats.total_completions() == 0
+
+    def test_failed_request_is_counted_as_an_error(self, server):
+        import socket
+
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"NONSENSE\r\n\r\n")
+            sock.recv(65536)
+        assert _eventually(lambda: server.stats.errors()) == {"?": {"400": 1}}
+        assert server.stats.total_completions() == 0
+
     def test_head_request_no_body(self, server):
         host, port = server.address
         response = http_request(host, port, "/page?pageid=1", method="HEAD")
@@ -329,6 +346,17 @@ class TestKeepAliveBothServers:
                     break
                 data += chunk
         assert data.count(b"pre-rendered") == 2
+
+
+def _eventually(read, timeout: float = 5.0):
+    """``read()`` once it is truthy: the server records a response
+    just after sending it, so the client can see it first."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not read() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return read()
 
 
 def _read_one_response(sock) -> bytes:
