@@ -5,13 +5,17 @@ columns become index probes; everything else scans.  Every operator's
 work is charged to the :class:`~repro.db.cost.CostModel`, which is how
 the TPC-W fast/slow page dichotomy emerges.
 
-:func:`compile_statement` does the per-statement work once: it binds
-each column to a fixed slot of the FROM/JOIN layout, picks operator
-functions, compiles constant LIKE patterns, and turns every expression
-into a closure ``f(env, run)`` — ``env`` a tuple of row dicts, one per
-alias, ``run`` the :class:`Executor` carrying the parameters.  What the
-compiler finds wrong (an unknown column, a missing table) becomes a
-closure that raises when execution reaches it.
+:func:`compile_statement` does the per-statement work once.  Each
+expression is compiled to Python source over row locals ``r0, r1, ...``
+(one row dict per FROM/JOIN alias) and parameters ``P``; bound values
+never enter that source, they are namespace constants.  A SELECT's
+scan, joins and WHERE become one generated function of nested loops
+(see :func:`_compile_scan`); every other expression — projections,
+grouping, ORDER BY, LIMIT, INSERT values, UPDATE SET/WHERE — becomes a
+small generated function ``f(env, run)``, ``env`` a tuple of row dicts
+and ``run`` the :class:`Executor` carrying the parameters.  What the
+compiler finds wrong (an unknown column, a missing table) compiles to a
+call that raises when execution reaches it.
 """
 
 from __future__ import annotations
@@ -122,53 +126,122 @@ class Executor:
         return cached
 
 
+class _Params(tuple):
+    """Fewer parameters than the statement reads: a missing one raises
+    when execution reaches it, not before."""
+
+    def __getitem__(self, index):
+        if index < len(self):
+            return tuple.__getitem__(self, index)
+        raise ProgrammingError(f"statement requires at least {index + 1} "
+                               f"parameters, got {len(self)}")
+
+
+def _bind_params(run: Executor, arity: int) -> None:
+    if len(run.params) < arity:
+        run.params = _Params(run.params)
+
+
+class _Codegen:
+    """One statement's generated code: the namespace its functions
+    share (helpers, and every bound value as a ``_k<n>`` constant), the
+    source of each function, and how many parameters they read."""
+
+    def __init__(self, tables: Dict[str, Table]) -> None:
+        self.tables = tables
+        self.namespace: Dict[str, Any] = dict(_HELPERS)
+        self.sources: List[str] = []
+        self.arity = 0
+        self._count = 0
+
+    def name(self, prefix: str) -> str:
+        self._count += 1
+        return f"{prefix}{self._count}"
+
+    def const(self, value: Any) -> str:
+        name = self.name("_k")
+        self.namespace[name] = value
+        return name
+
+    def define(self, signature: str, body: List[str]) -> Callable[..., Any]:
+        name = self.name("_f")
+        source = "\n".join([f"def {name}({signature}):"]
+                           + ["    " + line for line in body])
+        self.sources.append(source)
+        exec(compile(source, "<sql plan>", "exec"), self.namespace)
+        return self.namespace[name]
+
+    def closure(self, source: str, slots: int, over: str = "env") -> RowFn:
+        """``f(env, run)`` returning ``source``; with ``over="G"``,
+        ``f(group, run)`` whose row locals hold the group's first row."""
+        body = ["P = run.params"]
+        if slots:
+            body.append(f"{_rows(slots)} = env" if over == "env"
+                        else f"if G: {_rows(slots)} = G[0]")
+        return self.define(f"{over}, run", body + [f"return {source}"])
+
+
+def _rows(slots: int) -> str:
+    """The row locals of ``slots`` aliases, as an assignment target."""
+    return ", ".join(f"r{slot}" for slot in range(slots)) + "," if slots else "()"
+
+
+def _tuple(parts: Sequence[str]) -> str:
+    return f"({', '.join(parts)},)" if parts else "()"
+
+
 # ----------------------------------------------------------------------
 # Statements
 # ----------------------------------------------------------------------
 
 def compile_statement(statement: Statement, tables: Dict[str, Table]) -> Plan:
     """Compile ``statement`` against the current schema.  Never raises:
-    problems become plans or closures that raise when run."""
+    problems become plans or generated code that raise when run.  A
+    compiled SELECT/INSERT/UPDATE/DELETE plan carries every source it
+    generated as ``generated_source``."""
+    gen = _Codegen(tables)
     if isinstance(statement, Select):
-        return _compile_select(statement, tables)
-    if isinstance(statement, Insert):
-        return _compile_insert(statement, tables)
-    if isinstance(statement, (Update, Delete)):
-        return _compile_write(statement, tables)
-    if isinstance(statement, CreateTable):
+        plan = _compile_select(statement, gen)
+    elif isinstance(statement, Insert):
+        plan = _compile_insert(statement, gen)
+    elif isinstance(statement, (Update, Delete)):
+        plan = _compile_write(statement, gen)
+    elif isinstance(statement, CreateTable):
         return functools.partial(_create_table, statement)
-    if isinstance(statement, CreateIndex):
+    elif isinstance(statement, CreateIndex):
         return functools.partial(_create_index, statement)
-    if isinstance(statement, (Begin, Commit, Rollback)):
+    elif isinstance(statement, (Begin, Commit, Rollback)):
         return _raiser(ProgrammingError, "transaction statements are handled "
                        "by the engine, not the executor")
-    return _raiser(ProgrammingError, f"cannot execute {type(statement).__name__}")
+    else:
+        return _raiser(ProgrammingError,
+                       f"cannot execute {type(statement).__name__}")
+    plan.generated_source = "\n\n".join(gen.sources)  # type: ignore[attr-defined]
+    return plan
 
 
-def _compile_select(select: Select, tables: Dict[str, Table]) -> Plan:
+def _compile_select(select: Select, gen: _Codegen) -> Plan:
     sources = ([(select.alias or select.table, select.table)]
                if select.table is not None else [])
     sources += [(join.alias, join.table) for join in select.joins]
     aliases = [alias for alias, _ in sources]
     duplicate = next((alias for i, alias in enumerate(aliases)
                       if alias in aliases[:i]), None)
-    scope: Scope = tuple((alias, _table_columns(tables, name))
+    scope: Scope = tuple((alias, _table_columns(gen.tables, name))
                          for alias, name in sources)
-    produce = _compile_from(select, tables, scope, duplicate)
-    where = _compile(select.where, scope, tables) if select.where is not None else None
-    columns, project, columns_error = _compile_projection(select, scope, tables)
+    produce = _compile_scan(select, scope, duplicate, gen)
+    columns, project, columns_error = _compile_projection(select, scope, gen)
     grouped = bool(select.group_by) or _has_aggregate(select.items)
     if grouped:
-        project = _compile_grouping(select, scope, tables)
-    order = _compile_order(select, columns, scope, tables, grouped)
-    offset, limit = (None if expr is None else _compile(expr, (), tables)
+        project = _compile_grouping(select, scope, gen)
+    order = _compile_order(select, columns, scope, gen, grouped)
+    offset, limit = (None if expr is None else gen.closure(_compile(expr, (), gen), 0)
                      for expr in (select.offset, select.limit))
     distinct = select.distinct
 
     def run_select(run: Executor) -> ResultSet:
+        _bind_params(run, gen.arity)
         envs = produce(run)
-        if where is not None:
-            envs = [env for env in envs if where(env, run)]
         if columns_error is not None:
             raise columns_error
         if grouped:
@@ -197,38 +270,78 @@ def _compile_select(select: Select, tables: Dict[str, Table]) -> Plan:
     return run_select
 
 
-def _compile_from(select: Select, tables: Dict[str, Table], scope: Scope,
-                  duplicate: Optional[str]) -> Callable[[Executor], List[Env]]:
-    """The driving table's rows (index probe or charged scan), then each
-    join in declaration order."""
-    if select.table is None:
-        return lambda run: [()]
-    name = select.table
-    probes = _probe_candidates(scope[0], select.where, tables)
-    joins = [_compile_join(join, tables, scope[: i + 1])
+def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
+                  gen: _Codegen) -> Callable[[Executor], List[Env]]:
+    """The driving rows (an index probe or a charged scan), each join,
+    and WHERE, as one generated function: the driving rows are the
+    outer ``for``, each join a nested ``for`` over its bucket, WHERE the
+    innermost test, and only the rows that pass it become envs.
+
+    Depth-first, this emits envs in the order a join-at-a-time
+    evaluation would, and its per-join probe/match totals are the same;
+    each operator is charged once, with its total, after the loop."""
+    joins = [_compile_join(join, scope[: i + 1], gen)
              for i, join in enumerate(select.joins)]
+    where = "True" if select.where is None else _compile(select.where, scope, gen)
+    body = ["P = run.params", "out = []", "emit = out.append"]
+    body += [f"b{k}, c{k}, g{k} = joins[{k - 1}]" for k in range(1, len(joins) + 1)]
+    counts = [f"{kind}{k}" for k in range(1, len(joins) + 1) for kind in "pm"]
+    body.append(" = ".join(counts + ["0"]))
+    body.append(f"for {'r0' if scope else '_'} in driving:")
+    indent = "    "
+    for k, (_, outer, null_row) in enumerate(joins, 1):
+        body += [f"{indent}p{k} += 1", f"{indent}v{k} = {outer}"]
+        if null_row is not None:  # LEFT JOIN: the matches, or the null row
+            body += [f"{indent}q{k} = [r for r in map(g{k}, c{k}(b{k}(v{k}) or ())) "
+                     f"if r is not None] if v{k} is not None else []",
+                     f"{indent}m{k} += len(q{k})",
+                     f"{indent}for r{k} in q{k} or {gen.const((null_row,))}:"]
+            indent += "    "
+            continue
+        body += [f"{indent}if v{k} is not None and (s{k} := b{k}(v{k})):",
+                 f"{indent}    for i{k} in c{k}(s{k}):",
+                 f"{indent}        r{k} = g{k}(i{k})",
+                 f"{indent}        if r{k} is None:",
+                 f"{indent}            continue",
+                 f"{indent}        m{k} += 1"]
+        indent += "        "
+    body += [f"{indent}if {where}:", f"{indent}    emit(({_rows(len(scope))}))",
+             f"return out, {_tuple(counts)}"]
+    scan = gen.define("run, driving, joins", body)
+    name = select.table
+    probes = _probe_candidates(scope[0], select.where, gen) if scope else []
 
     def produce(run: Executor) -> List[Env]:
-        table = run._table(name)
-        if duplicate is not None:
-            raise SQLSyntaxError(f"duplicate table alias {duplicate!r}")
-        rows = table.rows
-        envs = [(rows[row_id],) for row_id in _candidate_ids(run, table, probes)
-                if row_id in rows]
-        for join in joins:
-            envs = join(envs, run)
+        if name is None:
+            driving: List[Any] = [()]
+        else:
+            table = run._table(name)
+            if duplicate is not None:
+                raise SQLSyntaxError(f"duplicate table alias {duplicate!r}")
+            row_ids, rows = _candidate_ids(run, table, probes), table.rows
+            driving = (list(rows.values()) if row_ids is None
+                       else [rows[row_id] for row_id in row_ids if row_id in rows])
+        opened = [open_join(run) for open_join, _, _ in joins]
+        envs, totals = scan(run, driving, [access for access, _, _ in opened])
+        for k, (_, built, (probe_op, match_op)) in enumerate(opened):
+            run._charge("row_scan", built)
+            run._charge(probe_op, totals[2 * k])
+            run._charge(match_op, totals[2 * k + 1])
         return envs
 
     return produce
 
 
-def _compile_join(join, tables: Dict[str, Table], scope: Scope):
-    """One equi-join step: index probe per row if the joined column is
-    indexed, else a transient hash table built by one scan.  Charges
-    its probes and matches once, with their totals."""
-    table = tables.get(join.table)
+def _compile_join(join, scope: Scope, gen: _Codegen):
+    """One equi-join step: ``(open, outer, null_row)``.  ``outer`` is the
+    source of the ON value from the rows before it, ``null_row`` the row
+    a LEFT JOIN pads with (None for an inner join), and ``open(run)``
+    returns the per-execution ``((bucket_of, copy, row_of), build scan,
+    (probe op, match op))``: the index's buckets if the joined column is
+    indexed, else a transient hash table built by one scan."""
+    table = gen.tables.get(join.table)
     if table is None:
-        return _raiser(TableError, f"no such table: {join.table!r}")
+        return _raiser(TableError, f"no such table: {join.table!r}"), "None", None
     # Determine which side of ON belongs to the joined table.
     if join.left.table == join.alias:
         inner_col, outer_ref = join.left.name, join.right
@@ -239,59 +352,37 @@ def _compile_join(join, tables: Dict[str, Table], scope: Scope):
     elif table.has_column(join.right.name) and join.right.table is None:
         inner_col, outer_ref = join.right.name, join.left
     else:
-        return _raiser(SQLSyntaxError,
-                       f"cannot attribute ON columns of join to {join.alias!r}")
+        return _raiser(SQLSyntaxError, f"cannot attribute ON columns of join "
+                       f"to {join.alias!r}"), "None", None
     if not table.has_column(inner_col):
-        return _raiser(ColumnError,
-                       f"join table {join.table!r} has no column {inner_col!r}")
-    outer_value = _compile(outer_ref, scope, tables)
-    null_row = {name: None for name in table.column_names}
-    left_outer = join.outer
+        return _raiser(ColumnError, f"join table {join.table!r} has no column "
+                       f"{inner_col!r}"), "None", None
+    null_row = ({name: None for name in table.column_names}
+                if join.outer else None)
 
-    def apply_join(envs: List[Env], run: Executor) -> List[Env]:
+    def open_join(run: Executor):
         table = run._table(join.table)
         index = table.index_on(inner_col)
-        if index is None:
-            # Snapshot first: concurrent inserts (MyISAM-style shared
-            # lock) may grow the dict while we iterate.
-            snapshot = list(table.rows.items())
-            run._charge("row_scan", len(snapshot))
-            buckets: Dict[Any, Any] = {}
-            for row_id, row in snapshot:
-                buckets.setdefault(row[inner_col], []).append(row_id)
-            probe_op, match_op, copy = "join_probe", "row_emit", tuple
-        else:
+        if index is not None:
             # Index buckets are live sets: a concurrent insert may grow
             # one, so each is copied (as HashIndex.lookup does).
-            buckets = index.buckets
-            probe_op, match_op, copy = "index_probe", "index_row", set
-        bucket_of, row_of = buckets.get, table.rows.get
-        joined: List[Env] = []
-        matched = 0
-        for env in envs:
-            value = outer_value(env, run)
-            row_ids = bucket_of(value) if value is not None else None
-            found = 0
-            if row_ids:
-                for row_id in copy(row_ids):
-                    match = row_of(row_id)
-                    if match is not None:
-                        joined.append(env + (match,))
-                        found += 1
-            if found:
-                matched += found
-            elif left_outer:
-                joined.append(env + (null_row,))
-        run._charge(probe_op, len(envs))
-        run._charge(match_op, matched)
-        return joined
+            return ((index.buckets.get, set, table.rows.get), 0,
+                    ("index_probe", "index_row"))
+        # Snapshot first: concurrent inserts (MyISAM-style shared
+        # lock) may grow the dict while we iterate.
+        snapshot = list(table.rows.items())
+        buckets: Dict[Any, List[int]] = {}
+        for row_id, row in snapshot:
+            buckets.setdefault(row[inner_col], []).append(row_id)
+        return ((buckets.get, tuple, table.rows.get), len(snapshot),
+                ("join_probe", "row_emit"))
 
-    return apply_join
+    return open_join, _compile(outer_ref, scope, gen), null_row
 
 
 def _probe_candidates(slot: Tuple[str, Tuple[str, ...]],
                       where: Optional[Expression],
-                      tables: Dict[str, Table]) -> List[Tuple[str, RowFn]]:
+                      gen: _Codegen) -> List[Tuple[str, RowFn]]:
     """``col = constant`` among the top-level AND conjuncts, with ``col``
     a column of this slot's table; whether ``col`` is indexed is looked
     up per execution."""
@@ -309,14 +400,14 @@ def _probe_candidates(slot: Tuple[str, Tuple[str, ...]],
                     and ref_side.name in columns
                     and isinstance(value_side, (Literal, Placeholder))):
                 candidates.append(
-                    (ref_side.name, _compile(value_side, (), tables)))
+                    (ref_side.name, gen.closure(_compile(value_side, (), gen), 0)))
     return candidates
 
 
 def _candidate_ids(run: Executor, table: Table,
-                   candidates: List[Tuple[str, RowFn]]) -> Iterable[int]:
-    """Row ids from the first candidate with an index, else every row
-    id: a charged full scan."""
+                   candidates: List[Tuple[str, RowFn]]) -> Optional[Iterable[int]]:
+    """Row ids from the first candidate with an index; None after
+    charging a full scan (every row is a candidate)."""
     for column, value_of in candidates:
         index = table.index_on(column)
         if index is not None:
@@ -325,22 +416,21 @@ def _candidate_ids(run: Executor, table: Table,
             row_ids = index.lookup(value)
             run._charge("index_row", len(row_ids))
             return row_ids
-    # A snapshot: concurrent inserts may grow the dict meanwhile.
     run._charge("row_scan", len(table.rows))
-    return list(table.rows)
+    return None
 
 
 # -- projection -----------------------------------------------------------
-def _compile_projection(select: Select, scope: Scope, tables: Dict[str, Table]):
+def _compile_projection(select: Select, scope: Scope, gen: _Codegen):
     """Output column names plus the per-row projection; a bad star alias
     is returned as the error the projection step raises."""
     columns: List[str] = []
-    getters: List[RowFn] = []
+    parts: List[str] = []
     positions = {alias: i for i, (alias, _) in enumerate(scope)}
     for item in select.items:
         if not item.star:
             columns.append(item.alias or _expression_label(item.expression))
-            getters.append(_compile(item.expression, scope, tables))
+            parts.append(_compile(item.expression, scope, gen))
             continue
         for alias in ([item.star_table] if item.star_table is not None
                       else list(positions)):
@@ -350,32 +440,35 @@ def _compile_projection(select: Select, scope: Scope, tables: Dict[str, Table]):
             slot = positions[alias]
             for name in scope[slot][1]:
                 columns.append(name)
-                getters.append(_column_getter(slot, name))
-    return columns, (lambda env, run: tuple([get(env, run) for get in getters])), None
+                parts.append(f"r{slot}[{name!r}]")
+    return columns, gen.closure(_tuple(parts), len(scope)), None
 
 
-def _compile_grouping(select: Select, scope: Scope, tables: Dict[str, Table]):
+def _compile_grouping(select: Select, scope: Scope, gen: _Codegen):
     """GROUP BY (or one group of everything), HAVING, and the grouped
     projection: aggregates reduce over the group, bare columns use the
     group's first row (MySQL's permissive ONLY_FULL_GROUP_BY-off
     behaviour)."""
-    keys = [_compile(expr, scope, tables) for expr in select.group_by]
-    having = (_compile(select.having, scope, tables, grouped=True)
+    slots = len(scope)
+    key_of = (gen.closure(_tuple([_compile(expr, scope, gen)
+                                  for expr in select.group_by]), slots)
+              if select.group_by else None)
+    having = (gen.closure(_compile(select.having, scope, gen, grouped=True),
+                          slots, over="G")
               if select.having is not None else None)
-    items = [
-        _raiser(SQLSyntaxError,
-                "SELECT * cannot be combined with GROUP BY/aggregates")
-        if item.star else _compile(item.expression, scope, tables, grouped=True)
+    items = gen.closure(_tuple([
+        _fail(gen, SQLSyntaxError,
+              "SELECT * cannot be combined with GROUP BY/aggregates")
+        if item.star else _compile(item.expression, scope, gen, grouped=True)
         for item in select.items
-    ]
+    ]), slots, over="G")
 
     def project_groups(envs: List[Env], run: Executor) -> List[Tuple]:
         run._charge("row_group", len(envs))
-        if keys:
+        if key_of is not None:
             groups: Dict[Tuple, List[Env]] = {}
             for env in envs:
-                key = (tuple([key_of(env, run) for key_of in keys])
-                       if len(keys) > 1 else (keys[0](env, run),))
+                key = key_of(env, run)
                 group = groups.get(key)
                 if group is None:
                     groups[key] = [env]
@@ -384,18 +477,14 @@ def _compile_grouping(select: Select, scope: Scope, tables: Dict[str, Table]):
             grouped = list(groups.values())
         else:
             grouped = [envs]
-        rows = []
-        for group in grouped:
-            if having is not None and not having(group, run):
-                continue
-            rows.append(tuple([item(group, run) for item in items]))
-        return rows
+        return [items(group, run) for group in grouped
+                if having is None or having(group, run)]
 
     return project_groups
 
 
 def _compile_order(select: Select, columns: List[str], scope: Scope,
-                   tables: Dict[str, Table], grouped: bool):
+                   gen: _Codegen, grouped: bool):
     """ORDER BY: every row's rank is computed once per item, then one
     stable sort per item, last to first."""
     if not select.order_by:
@@ -415,7 +504,7 @@ def _compile_order(select: Select, columns: List[str], scope: Scope,
             value_of = (lambda envs, i, row, run, p=position: row[p]
                         if 0 <= p < len(row) else None)
         elif not grouped:
-            on_env = _compile(expr, scope, tables)
+            on_env = gen.closure(_compile(expr, scope, gen), len(scope))
             value_of = lambda envs, i, row, run, f=on_env: f(envs[i], run)
         else:
             message = (f"ORDER BY expression {expr!r} does not name an "
@@ -447,22 +536,23 @@ def _rank(value: Any) -> Tuple:
 
 
 # -- INSERT / UPDATE / DELETE / CREATE -------------------------------------
-def _compile_insert(insert: Insert, tables: Dict[str, Table]) -> Plan:
-    rows = [[_compile(expr, (), tables) for expr in row] for row in insert.rows]
+def _compile_insert(insert: Insert, gen: _Codegen) -> Plan:
+    rows = [(len(row), gen.closure(_tuple([_compile(expr, (), gen)
+                                           for expr in row]), 0))
+            for row in insert.rows]
 
     def run_insert(run: Executor) -> ResultSet:
+        _bind_params(run, gen.arity)
         table = run._table(insert.table)
         columns = list(insert.columns) if insert.columns else table.column_names
         lastrowid = None
-        for value_row in rows:
-            if len(value_row) != len(columns):
+        for width, values_of in rows:
+            if width != len(columns):
                 raise ProgrammingError(
-                    f"INSERT row has {len(value_row)} values for "
+                    f"INSERT row has {width} values for "
                     f"{len(columns)} columns"
                 )
-            values = {column: value_of((), run)
-                      for column, value_of in zip(columns, value_row)}
-            lastrowid = table.insert(values)
+            lastrowid = table.insert(dict(zip(columns, values_of((), run))))
             if run._undo is not None:
                 run._undo.record_insert(table, table.last_internal_row_id)
             run._charge("row_write")
@@ -471,21 +561,24 @@ def _compile_insert(insert: Insert, tables: Dict[str, Table]) -> Plan:
     return run_insert
 
 
-def _compile_write(statement, tables: Dict[str, Table]) -> Plan:
+def _compile_write(statement, gen: _Codegen) -> Plan:
     """UPDATE or DELETE: find the matching rows (index probe or scan,
     then WHERE), then write each one, charged per row."""
     name = statement.table
-    scope: Scope = ((name, _table_columns(tables, name)),)
-    probes = _probe_candidates(scope[0], statement.where, tables)
-    where = (_compile(statement.where, scope, tables)
+    scope: Scope = ((name, _table_columns(gen.tables, name)),)
+    probes = _probe_candidates(scope[0], statement.where, gen)
+    where = (gen.closure(_compile(statement.where, scope, gen), 1)
              if statement.where is not None else None)
     is_update = isinstance(statement, Update)
-    assignments = [(column, _compile(expr, scope, tables))
+    assignments = [(column, gen.closure(_compile(expr, scope, gen), 1))
                    for column, expr in (statement.assignments if is_update else ())]
 
     def run_write(run: Executor) -> ResultSet:
+        _bind_params(run, gen.arity)
         table = run._table(name)
         candidates = _candidate_ids(run, table, probes)
+        if candidates is None:
+            candidates = list(table.rows)
         if where is None:
             row_ids = list(candidates)
         else:
@@ -528,70 +621,91 @@ def _create_index(create: CreateIndex, run: Executor) -> ResultSet:
 # Expressions
 # ----------------------------------------------------------------------
 
-def _compile(expr: Expression, scope: Scope, tables: Dict[str, Table],
-             grouped: bool = False) -> RowFn:
-    """Compile ``expr`` into ``f(env, run)``, or with ``grouped`` into
-    ``f(group, run)`` over a list of envs: aggregates reduce over the
-    group, operators combine their grouped operands, and anything else
-    reads the group's first row (MySQL's permissive
-    ONLY_FULL_GROUP_BY-off behaviour)."""
+def _compile(expr: Expression, scope: Scope, gen: _Codegen,
+             grouped: bool = False) -> str:
+    """Python source for ``expr`` over the row locals of ``scope`` and
+    the parameters ``P``.  With ``grouped`` it is evaluated over a list
+    of envs ``G``: aggregates reduce over the group, operators combine
+    their grouped operands, and anything else reads the group's first
+    row (MySQL's permissive ONLY_FULL_GROUP_BY-off behaviour).  Every
+    operand is evaluated, in order, before its operator decides."""
     if isinstance(expr, BinaryOp):
-        left = _compile(expr.left, scope, tables, grouped)
-        right = _compile(expr.right, scope, tables, grouped)
-        if expr.op == "AND":
-            return lambda env, run: bool(left(env, run)) and bool(right(env, run))
-        if expr.op == "OR":
-            return lambda env, run: bool(left(env, run)) or bool(right(env, run))
+        left = _compile(expr.left, scope, gen, grouped)
+        right = _compile(expr.right, scope, gen, grouped)
+        if expr.op in ("AND", "OR"):
+            word = "and" if expr.op == "AND" else "or"
+            return f"({_truth(expr.left, left)} {word} {_truth(expr.right, right)})"
+        lhs, rhs = gen.name("_t"), gen.name("_t")
         if expr.op in _COMPARE:
-            return _compile_comparison(_COMPARE[expr.op], left, right)
-        return _compile_arithmetic(expr.op, left, right)
+            symbol, compare = _COMPARE[expr.op]
+            # NULL never compares true; a number and a numeric string
+            # compare numerically; incomparable types compare false.
+            return (f"({lhs} {symbol} {rhs} if ({lhs} := {left}).__class__ is "
+                    f"({rhs} := {right}).__class__ and {lhs}.__class__ in _SCALARS "
+                    f"else _compare({gen.const(compare)}, {lhs}, {rhs}))")
+        if expr.op not in _ARITHMETIC:
+            return _fail(gen, ProgrammingError, f"unknown operator {expr.op!r}")
+        # NULL in, NULL out; MySQL makes division by zero NULL too.
+        value = (f"(None if {rhs} == 0 else {lhs} / {rhs})" if expr.op == "/"
+                 else f"{lhs} {_ARITHMETIC[expr.op]} {rhs}")
+        return (f"({value} if (({lhs} := {left}) is not None) & "
+                f"(({rhs} := {right}) is not None) else None)")
     if isinstance(expr, UnaryOp):
-        operand = _compile(expr.operand, scope, tables, grouped)
+        operand = _compile(expr.operand, scope, gen, grouped)
         if expr.op == "NOT":
-            return lambda env, run: not operand(env, run)
+            return f"(not {operand})"
         if expr.op == "-":
-            return lambda env, run: _negate(operand(env, run))
-        return _raiser(ProgrammingError, f"unknown unary operator {expr.op!r}")
+            value = gen.name("_t")
+            return f"(None if ({value} := {operand}) is None else -{value})"
+        return _fail(gen, ProgrammingError, f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, (InSubquery, InList, Like, Between, IsNull)):
+        return _compile_predicate(expr, scope, gen, grouped)
     if grouped:
         if isinstance(expr, FuncCall):
-            return _compile_aggregate(expr, scope, tables)
-        on_row, on_empty = _compile(expr, scope, tables), _compile(expr, (), tables)
-        return lambda group, run: on_row(group[0], run) if group else on_empty((), run)
+            return _compile_aggregate(expr, scope, gen)
+        return f"({_compile(expr, scope, gen)} if G else {_compile(expr, (), gen)})"
     if isinstance(expr, Literal):
-        value = expr.value
-        return lambda env, run: value
+        return gen.const(expr.value)
     if isinstance(expr, Placeholder):
-        return _placeholder(expr.index)
+        gen.arity = max(gen.arity, expr.index + 1)
+        return f"P[{expr.index:d}]"
     if isinstance(expr, ColumnRef):
-        return _compile_column(expr, scope)
-    if isinstance(expr, (InSubquery, InList, Like, Between, IsNull)):
-        return _compile_predicate(expr, scope, tables)
+        return _compile_column(expr, scope, gen)
     if isinstance(expr, FuncCall):
-        return _raiser(ProgrammingError,
-                       f"aggregate {expr.name} used outside SELECT projections")
-    return _raiser(ProgrammingError, f"cannot evaluate {type(expr).__name__}")
+        return _fail(gen, ProgrammingError,
+                     f"aggregate {expr.name} used outside SELECT projections")
+    return _fail(gen, ProgrammingError, f"cannot evaluate {type(expr).__name__}")
 
 
-def _compile_aggregate(call: FuncCall, scope: Scope,
-                       tables: Dict[str, Table]) -> RowFn:
+def _truth(expr: Expression, source: str) -> str:
+    """``source`` as a bool (AND/OR yield bools, as SQL's do)."""
+    boolean = (isinstance(expr, (InSubquery, InList, Like, Between, IsNull))
+               or (isinstance(expr, BinaryOp)
+                   and (expr.op in _COMPARE or expr.op in ("AND", "OR")))
+               or (isinstance(expr, UnaryOp) and expr.op == "NOT"))
+    return source if boolean else f"bool({source})"
+
+
+def _compile_aggregate(call: FuncCall, scope: Scope, gen: _Codegen) -> str:
     if call.star:
-        return lambda group, run: len(group)
+        return "len(G)"
     assert call.argument is not None
-    argument = _compile(call.argument, scope, tables)
-    distinct, is_count = call.distinct, call.name == "COUNT"
+    argument = _compile(call.argument, scope, gen)
     reduce = _AGGREGATES.get(call.name) or _raiser(
         ProgrammingError, f"unknown aggregate {call.name!r}")
+    return (f"_aggregate({gen.const(reduce)}, {bool(call.distinct)!r}, "
+            f"{call.name == 'COUNT'!r}, "
+            f"[{argument} for {_rows(len(scope))} in G])")
 
-    def aggregate(group: List[Env], run: Executor) -> Any:
-        values = [value for value in [argument(env, run) for env in group]
-                  if value is not None]
-        if distinct:
-            values = list(dict.fromkeys(values))
-        if is_count:
-            return len(values)
-        return reduce(values) if values else None
 
-    return aggregate
+def _aggregate(reduce: Callable[[List[Any]], Any], distinct: bool,
+               is_count: bool, values: List[Any]) -> Any:
+    values = [value for value in values if value is not None]
+    if distinct:
+        values = list(dict.fromkeys(values))
+    if is_count:
+        return len(values)
+    return reduce(values) if values else None
 
 
 _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
@@ -602,147 +716,106 @@ _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
 }
 
 
-def _compile_column(ref: ColumnRef, scope: Scope) -> RowFn:
-    """Bind a column to its slot; unknown or ambiguous columns raise
-    when a row is evaluated."""
+def _compile_column(ref: ColumnRef, scope: Scope, gen: _Codegen) -> str:
+    """Bind a column to its slot's row local; unknown or ambiguous
+    columns raise when a row is evaluated."""
     name = ref.name
     if ref.table is not None:
         slots = [i for i, (alias, _) in enumerate(scope) if alias == ref.table]
         if not slots:
-            return _raiser(ColumnError,
-                           f"unknown table alias {ref.table!r} in {ref}")
+            return _fail(gen, ColumnError,
+                         f"unknown table alias {ref.table!r} in {ref}")
         if name not in scope[slots[0]][1]:
-            return _raiser(ColumnError,
-                           f"no column {name!r} in alias {ref.table!r}")
-        return _column_getter(slots[0], name)
+            return _fail(gen, ColumnError,
+                         f"no column {name!r} in alias {ref.table!r}")
+        return f"r{slots[0]}[{name!r}]"
     slots = [i for i, (_, columns) in enumerate(scope) if name in columns]
     if not slots:
-        return _raiser(ColumnError, f"unknown column {name!r}")
+        return _fail(gen, ColumnError, f"unknown column {name!r}")
     if len(slots) > 1:
         matches = sorted(scope[i][0] for i in slots)
-        return _raiser(ColumnError, f"ambiguous column {name!r} (in {matches})")
-    return _column_getter(slots[0], name)
+        return _fail(gen, ColumnError, f"ambiguous column {name!r} (in {matches})")
+    return f"r{slots[0]}[{name!r}]"
 
 
-def _column_getter(slot: int, name: str) -> RowFn:
-    return lambda env, run: env[slot][name]
+def _compare(compare: Callable[[Any, Any], bool], lhs: Any, rhs: Any) -> bool:
+    """A comparison off the same-class fast path (see :func:`_compile`)."""
+    if lhs is None or rhs is None:
+        return False
+    if lhs.__class__ is not rhs.__class__:
+        lhs, rhs = _coerce_pair(lhs, rhs)
+    try:
+        return compare(lhs, rhs)
+    except TypeError:
+        return False
 
 
-def _placeholder(index: int) -> RowFn:
-    def placeholder(env: Env, run: Executor) -> Any:
-        try:
-            return run.params[index]
-        except IndexError:
-            raise ProgrammingError(
-                f"statement requires at least {index + 1} parameters, "
-                f"got {len(run.params)}"
-            ) from None
-    return placeholder
-
-
-def _compile_comparison(compare: Callable[[Any, Any], bool],
-                        left: RowFn, right: RowFn) -> RowFn:
-    """NULL never compares true; a number and a numeric string compare
-    numerically; incomparable types compare false."""
-    def comparison(env: Env, run: Executor) -> bool:
-        lhs, rhs = left(env, run), right(env, run)
-        if lhs is None or rhs is None:
-            return False
-        if lhs.__class__ is not rhs.__class__:
-            lhs, rhs = _coerce_pair(lhs, rhs)
-        try:
-            return compare(lhs, rhs)
-        except TypeError:
-            return False
-    return comparison
-
-
-def _compile_arithmetic(op: str, left: RowFn, right: RowFn) -> RowFn:
-    """NULL in, NULL out; MySQL makes division by zero NULL too."""
-    apply = _ARITHMETIC.get(op)
-    if apply is None:
-        return _raiser(ProgrammingError, f"unknown operator {op!r}")
-
-    def arithmetic(env: Env, run: Executor) -> Any:
-        lhs, rhs = left(env, run), right(env, run)
-        return None if lhs is None or rhs is None else apply(lhs, rhs)
-    return arithmetic
-
-
-_COMPARE: Dict[str, Callable[[Any, Any], bool]] = {
-    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
-    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+#: SQL comparison -> (Python operator, the function :func:`_compare` uses).
+_COMPARE: Dict[str, Tuple[str, Callable[[Any, Any], bool]]] = {
+    "=": ("==", operator.eq), "<>": ("!=", operator.ne),
+    "<": ("<", operator.lt), ">": (">", operator.gt),
+    "<=": ("<=", operator.le), ">=": (">=", operator.ge),
 }
-_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": lambda lhs, rhs: None if rhs == 0 else lhs / rhs,
-}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 
-def _negate(value: Any) -> Any:
-    return None if value is None else -value
-
-
-def _compile_predicate(expr: Expression, scope: Scope,
-                       tables: Dict[str, Table]) -> RowFn:
-    """IN (SELECT ...), IN (...), LIKE, BETWEEN and IS NULL.  All but
+def _compile_predicate(expr: Expression, scope: Scope, gen: _Codegen,
+                       grouped: bool) -> str:
+    """IN (SELECT ...), IN (...), LIKE, BETWEEN and IS NULL, over
+    operands compiled in the same (row or grouped) context.  All but
     IS NULL are false when their operand is NULL."""
-    operand, negated = _compile(expr.operand, scope, tables), expr.negated
+    operand, negated = _compile(expr.operand, scope, gen, grouped), expr.negated
     if isinstance(expr, IsNull):
-        return lambda env, run: (operand(env, run) is None) != negated
+        return f"({operand} is {'not ' if negated else ''}None)"
+    if isinstance(expr, Between):
+        low, high = (_compile(bound, scope, gen, grouped)
+                     for bound in (expr.low, expr.high))
+        return f"_between({operand}, {low}, {high}, {bool(negated)!r})"
+    value = gen.name("_t")
     if isinstance(expr, InSubquery):
-        subquery = _compile_select(expr.subquery, tables)
-        members = lambda env, run: run._subquery_values(subquery)
+        subquery = gen.const(_compile_select(expr.subquery, gen))
+        test = f"{value} in run._subquery_values({subquery})"
     elif isinstance(expr, InList):
-        options = [_compile(option, scope, tables) for option in expr.options]
-        members = lambda env, run: [option(env, run) for option in options]
-    elif isinstance(expr, Between):
-        low, high = _compile(expr.low, scope, tables), _compile(expr.high, scope, tables)
-
-        def between(env: Env, run: Executor) -> bool:
-            value, lo, hi = operand(env, run), low(env, run), high(env, run)
-            if value is None or lo is None or hi is None:
-                return False
-            return (lo <= value <= hi) != negated
-        return between
+        options = [_compile(option, scope, gen, grouped) for option in expr.options]
+        test = f"{value} in {_tuple(options)}"
+    elif isinstance(expr.pattern, Literal) and expr.pattern.value is not None:
+        match = gen.const(_like_regex(str(expr.pattern.value)).match)
+        test = f"{match}(str({value})) is not None"
     else:
-        return _compile_like(operand, expr.pattern, negated, scope, tables)
+        text = gen.name("_t")
+        pattern = _compile(expr.pattern, scope, gen, grouped)
+        return (f"((({value} := {operand}) is not None) & "
+                f"(({text} := {pattern}) is not None) and "
+                f"({gen.const(_last_regex())}(str({text})).match(str({value})) "
+                f"is {'' if negated else 'not '}None))")
+    return (f"(({value} := {operand}) is not None and "
+            f"{'not ' if negated else ''}({test}))")
 
-    def member_of(env: Env, run: Executor) -> bool:
-        value = operand(env, run)
-        if value is None:
-            return False
-        return (value in members(env, run)) != negated
-    return member_of
+
+def _between(value: Any, low: Any, high: Any, negated: bool) -> bool:
+    if value is None or low is None or high is None:
+        return False
+    return (low <= value <= high) != negated
 
 
-def _compile_like(operand: RowFn, pattern_expr: Expression, negated: bool,
-                  scope: Scope, tables: Dict[str, Table]) -> RowFn:
-    if isinstance(pattern_expr, Literal) and pattern_expr.value is not None:
-        match = _like_regex(str(pattern_expr.value)).match
-
-        def like_constant(env: Env, run: Executor) -> bool:
-            value = operand(env, run)
-            if value is None:
-                return False
-            return (match(str(value)) is not None) != negated
-        return like_constant
-    pattern = _compile(pattern_expr, scope, tables)
-    # The last pattern seen and its regex, swapped as one tuple so
-    # threads sharing the plan never see a torn pair: a parameterised
-    # pattern costs one cache lookup per execution, not one per row.
+def _last_regex() -> Callable[[str], "re.Pattern[str]"]:
+    """A parameterised LIKE pattern's regex, for one plan: the last
+    pattern seen and its regex are swapped as one tuple, so threads
+    sharing the plan never see a torn pair, and a pattern costs one
+    cache lookup per execution, not one per row."""
     last: List[Tuple[Optional[str], Any]] = [(None, None)]
 
-    def like(env: Env, run: Executor) -> bool:
-        value, text = operand(env, run), pattern(env, run)
-        if value is None or text is None:
-            return False
+    def regex_of(text: str) -> "re.Pattern[str]":
         seen, regex = last[0]
-        if str(text) != seen:
-            regex = _like_regex(str(text))
-            last[0] = (str(text), regex)
-        return (regex.match(str(value)) is not None) != negated
-    return like
+        if text != seen:
+            regex = _like_regex(text)
+            last[0] = (text, regex)
+        return regex
+    return regex_of
+
+
+_HELPERS = {"_compare": _compare, "_aggregate": _aggregate,
+            "_between": _between, "_SCALARS": frozenset({int, float, str, bool})}
 
 
 # ----------------------------------------------------------------------
@@ -754,6 +827,11 @@ def _raiser(error: type, message: str) -> Callable[..., Any]:
     def raise_error(*_args: Any) -> Any:
         raise error(message)
     return raise_error
+
+
+def _fail(gen: _Codegen, error: type, message: str) -> str:
+    """Source that raises ``error(message)`` when evaluated."""
+    return f"{gen.const(_raiser(error, message))}()"
 
 
 def _table_columns(tables: Dict[str, Table], name: str) -> Tuple[str, ...]:

@@ -23,6 +23,10 @@ CASES = {
         os.path.join("repro", "server", "rogue.py"),
         "def f(pool):\n    conn = pool.acquire()\n", 2,
     ),
+    "codegen": (
+        os.path.join("repro", "server", "rogue.py"),
+        "def f(source):\n    exec(source)\n", 2,
+    ),
     "sleep-free": (
         "test_rogue.py",
         "import time\n\ndef test_x():\n    time.sleep(0.5)\n", 4,
@@ -37,6 +41,9 @@ CLEAN_SOURCES = {
     "acquire": "# never call pool.acquire() directly\n"
                "doc = 'pool.acquire()'\nwith pool.lease() as conn:\n"
                "    pass\n",
+    "codegen": "# never exec(source) here\nimport re\n"
+               "doc = 'eval(x)'\npattern = re.compile('x')\n"
+               "template = engine.compile(nodes)\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
                   "    clock.advance(5.0)\n",
@@ -64,7 +71,7 @@ class TestFindViolations:
 
     def test_method_reference_counts_as_use(self, name, tmp_path):
         attribute = {"submit": "pool.submit", "acquire": "pool.acquire",
-                     "sleep-free": "time.sleep"}[name]
+                     "codegen": "eval", "sleep-free": "time.sleep"}[name]
         write(tmp_path, "alias.py", f"x = 1\nwait = {attribute}\n")
         assert [v[1] for v in find_violations(RULES[name],
                                               str(tmp_path))] == [2]

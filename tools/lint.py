@@ -18,6 +18,11 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   allow-listed resource module, so a new match is either a connection
   checkout that must become a lease or a resource primitive that
   belongs in one of those files.
+- ``codegen``: ``exec``, ``eval`` and the builtin ``compile`` belong to
+  the two code generators, ``templates/compiler.py`` and
+  ``db/sql/executor.py``, which build their source from parsed trees
+  and keep it as ``generated_source``.  Running text anywhere else is
+  an injection surface nobody reviews as one.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -56,6 +61,13 @@ def _uses_time_sleep(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "time")
 
 
+def _uses_builtin(*names: str) -> Callable[[ast.AST], bool]:
+    def match(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names
+                and isinstance(node.ctx, ast.Load))
+    return match
+
+
 @dataclasses.dataclass(frozen=True)
 class Rule:
     name: str
@@ -86,6 +98,12 @@ RULES = {rule.name: rule for rule in (
     }), _uses_method("acquire"),
         "raw .acquire sites outside the resource layers (lease through "
         "repro.server.resources or pool.lease())"),
+    Rule("codegen", "src", frozenset({
+        os.path.join("repro", "templates", "compiler.py"),
+        os.path.join("repro", "db", "sql", "executor.py"),
+    }), _uses_builtin("exec", "eval", "compile"),
+        "exec/eval/compile outside the two code generators "
+        "(templates/compiler.py, db/sql/executor.py)"),
     Rule("sleep-free", os.path.join("tests", "chaos"), frozenset(),
          _uses_time_sleep,
          "time.sleep in the chaos suite (drive the ManualClock or sim "
