@@ -742,12 +742,3 @@ class PipelineServer:
         response.headers["X-Degraded"] = "stale-cache"
         return response
 
-    # ------------------------------------------------------------------
-    def template_cache_stats(self) -> dict:
-        """Render-stage cache observability: the engine's compiled-
-        template cache plus the fragment cache when one is attached."""
-        report = dict(self.app.templates.cache_stats())
-        fragments = self.app.templates.fragment_cache
-        if fragments is not None:
-            report["fragments"] = fragments.stats()
-        return report

@@ -70,24 +70,17 @@ class ServerStats:
         self._breaker_state = "closed"
         self._breaker_transitions: Dict[str, int] = {}
 
-    @staticmethod
-    def _class_labels(request_class: Union[RequestClass, str]) -> tuple:
-        """Series labels for a request class; plain strings (legacy
-        callers, tests) map to a single series of that name."""
-        if isinstance(request_class, RequestClass):
-            return CLASS_SERIES_LABELS[request_class]
-        return (str(request_class),)
-
     # ------------------------------------------------------------------
     # Every recording method computes its timestamp *inside* the lock:
     # TimeSeries.append rejects out-of-order samples, so two threads
     # that read the clock and then raced to append could otherwise
     # blow up (and Welford updates outside the lock corrupted state).
     # ------------------------------------------------------------------
-    def record_completion(self, page: str,
-                          request_class: Union[RequestClass, str],
+    def record_completion(self, page: str, request_class: RequestClass,
                           response_seconds: float) -> None:
-        """One finished web interaction."""
+        """One finished web interaction.  A ``request_class`` that is not
+        a :class:`RequestClass` raises ``KeyError`` and records nothing."""
+        labels = CLASS_SERIES_LABELS[request_class]
         with self._lock:
             now = self.clock.now() - self.started_at
             self._completions[page] = self._completions.get(page, 0) + 1
@@ -97,7 +90,7 @@ class ServerStats:
                 self._response_times[page] = accumulator
             accumulator.add(response_seconds)
             self._completion_events.append(now, 1.0)
-            for label in self._class_labels(request_class):
+            for label in labels:
                 series = self._class_events.get(label)
                 if series is None:
                     series = TimeSeries(f"completions/{label}")
@@ -395,7 +388,7 @@ class ServerStats:
         resolves to its refined label.
         """
         if isinstance(request_class, RequestClass):
-            label = self._class_labels(request_class)[-1]
+            label = CLASS_SERIES_LABELS[request_class][-1]
         else:
             label = request_class
         with self._lock:

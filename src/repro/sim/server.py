@@ -75,9 +75,6 @@ class SimServer:
         self.db = PSServer(sim, "database", cores=config.db_cores)
         self.web = PSServer(sim, "webserver", cores=config.web_cores)
         self.locks = SimLockTable(sim)
-        #: Render demands were calibrated against the interpreting
-        #: template engine; the knob models the compiled render path.
-        self._render_scale = 1.0 / config.render_speedup
         #: Sized from the same PolicyConfig fields the live
         #: StagedServer reads; single-pool topologies use only its
         #: service-time tracker (SJF's job-size estimate).
@@ -258,8 +255,7 @@ class SimServer:
         profile = request.profile
         if profile.render_demand > 0:
             yield from self.fault_harness.render_gate(request.page, stage)
-            yield self.web.serve(self._render_demand(profile,
-                                                     request.jitter))
+            yield self.web.serve(profile.render_demand * request.jitter)
 
     def _dynamic(self, request: _Request, stage: str, parse: bool = False):
         """Data generation on a connection-holding thread: lease a
@@ -288,9 +284,6 @@ class SimServer:
         finally:
             lease.release()
         return None if render_here else "render"
-
-    def _render_demand(self, profile: PageProfile, jitter: float) -> float:
-        return profile.render_demand * jitter * self._render_scale
 
     def _db_phase(self, request: _Request, lease, stage: str):
         """The data-generation phase: read holds, query, optional write

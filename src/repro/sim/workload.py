@@ -162,18 +162,12 @@ class WorkloadConfig:
     customers: int = 2880
     items: int = 1000
     mix_weights: Optional[Dict[str, float]] = None
-    #: Divides every page's render demand: 1.0 models the interpreting
-    #: template engine the profiles were calibrated against, 2.0+ the
-    #: compiled render path (calibrate from BENCH_render.json).
-    render_speedup: float = 1.0
 
     def __post_init__(self) -> None:
         if self.clients < 1:
             raise ValueError("clients must be >= 1")
         if self.measure <= 0:
             raise ValueError("measure window must be positive")
-        if self.render_speedup <= 0:
-            raise ValueError("render_speedup must be positive")
         if self.general_pool < self.minimum_reserve:
             raise ValueError(
                 "minimum_reserve cannot exceed the general pool size"

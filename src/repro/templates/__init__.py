@@ -11,9 +11,10 @@ any Django template of the era would use):
 - Comments: ``{# ... #}`` and ``{% comment %} ... {% endcomment %}``.
 - HTML autoescaping with a ``safe`` filter opt-out.
 
-Templates compile to a node tree once and are cached by the
-:class:`TemplateEngine` loader; rendering walks the tree with a
-:class:`Context`.  Rendering is a pure function of (template, data),
+Each template is parsed to a node tree and compiled, once, to one
+generated Python function (:mod:`repro.templates.compiler`), cached by
+the :class:`TemplateEngine` loader; rendering calls that function with
+a :class:`Context`.  Rendering is a pure function of (template, data),
 which is exactly the property the paper's staged design exploits: a
 handler can return ``("name.html", data)`` and any template-rendering
 thread can finish the job.

@@ -1,9 +1,8 @@
 """Compile a parsed template node tree to one Python render function.
 
-The interpreter in :mod:`repro.templates.nodes` walks a node tree per
-request.  This module lowers that tree once, at template-load time,
-into a single generated Python function built with ``compile()`` /
-``exec`` — the cached-loader approach Jinja2 and Django use — so the
+This is the only render path.  Each template is lowered once, at load
+time, into a single generated Python function built with ``compile()``
+/ ``exec`` — the cached-loader approach Jinja2 and Django use — so the
 render stage (the pool the paper separates out) runs native code:
 
 - adjacent literal runs are pre-joined into one ``parts.append``;
@@ -11,31 +10,34 @@ render stage (the pool the paper separates out) runs native code:
   lowered to direct code with the filter callables bound as constants;
 - ``{% for %}`` becomes a native loop writing straight into the scope
   dict, ``{% if %}`` native branches, ``{% with %}`` direct bindings;
-- ``{% include %}``/``{% extends %}`` become calls into the target
-  template's own compiled function (``Template.render_into``), with
-  block overrides carried as :class:`~repro.templates.nodes.
-  BlockOverride` objects so compiled and interpreted templates
-  interleave freely in one inheritance chain.
+- ``{% include %}`` with a literal name is inlined; a dynamic name and
+  ``{% extends %}`` become calls into the target template's own
+  compiled function (``Template.render_into``), with a child's block
+  overrides carried as its compiled block functions.
 
-Equivalence is the contract: compiled output is byte-identical to the
-interpreter for every construct, including autoescaping, filter
-chains, ``forloop`` metadata, and error messages (enforced by
-``tests/templates/test_compiler_equivalence.py``).  Any node the
-compiler cannot lower raises :class:`CompileUnsupported` and the
-engine silently falls back to the interpreter for that template.
+The generated code must match a plain walk of the node tree for every
+construct, byte for byte, including autoescaping, filter chains,
+``forloop`` metadata, and error messages.  That walk lives under
+``tests/templates/oracle.py``, and
+``tests/templates/test_compiler_equivalence.py`` holds the two
+together.  A node tree the compiler cannot lower is an error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, List
 
 from repro.templates.context import MISSING, _step
-from repro.templates.errors import TemplateNotFoundError, TemplateRenderError
+from repro.templates.errors import (
+    TemplateNotFoundError,
+    TemplateRenderError,
+    TemplateSyntaxError,
+)
 from repro.templates.filters import SafeString, escape_html
 from repro.templates.fragcache import render_fragment
 from repro.templates.nodes import (
     BlockNode,
-    BlockOverride,
     CacheNode,
     ExtendsNode,
     FilterExpression,
@@ -50,10 +52,6 @@ from repro.templates.nodes import (
 )
 
 
-class CompileUnsupported(Exception):
-    """Raised internally for constructs the compiler cannot lower."""
-
-
 #: Names every generated function can rely on.  Everything else the
 #: generated code needs (filter callables, Condition objects, engines,
 #: block-override dicts) is bound as a numbered module constant.
@@ -64,26 +62,15 @@ _BASE_NAMESPACE = {
     "_step": _step,
     "_TemplateRenderError": TemplateRenderError,
     "_ForLoop": ForLoopInfo,
-    "_Override": BlockOverride,
     "_render_fragment": render_fragment,
 }
 
 
-def compile_template(template, engine, strict: bool = False):
-    """Compile ``template.nodes``; returns ``fn(context, parts)``.
-
-    Returns ``None`` when the tree contains something the compiler
-    cannot lower (the engine then renders interpretively).  With
-    ``strict=True`` compilation errors propagate instead — used by the
-    equivalence tests so codegen bugs surface as failures, never as
-    silent slow paths.
-    """
-    try:
-        return _Compiler(template.name).compile(template.nodes)
-    except Exception:
-        if strict:
-            raise
-        return None
+def compile_template(nodes: List[Node], name: str = "<string>") -> Callable:
+    """Compile a parsed node tree; returns ``fn(context, parts)``,
+    carrying its ``generated_source`` and the ``dependencies`` (names
+    of templates) it inlined."""
+    return _Compiler(name).compile(nodes)
 
 
 class _Writer:
@@ -108,22 +95,22 @@ class _Compiler:
         self.template_name = template_name
         self.namespace: Dict[str, Any] = dict(_BASE_NAMESPACE)
         self.functions: List[str] = []
-        #: const name -> {block name: (nodes, function name)}; resolved
-        #: into BlockOverride dicts after exec, when the compiled block
-        #: functions exist as objects.
-        self._pending_blocks: Dict[str, Dict[str, Tuple[List[Node], str]]] = {}
+        #: const name -> {block name: function name}; resolved into
+        #: {block name: function} dicts after exec, when the compiled
+        #: block functions exist as objects.
+        self._pending_blocks: Dict[str, Dict[str, str]] = {}
         self._counter = 0
         #: Static scope: template variable name -> Python local temp.
         #: ``{% for %}``/``{% with %}`` bindings in the current function
         #: live in real locals (mirrored into the context scope dict so
-        #: includes, conditions, and interpreted overrides still see
+        #: dynamic includes, conditions, and block overrides still see
         #: them); reads through this map skip the scope-stack scan.
         self._locals: Dict[str, str] = {}
         #: Template names whose bodies were inlined at compile time
         #: ({% include %} with a literal name).  The engine drops this
         #: template from its cache when any of them changes, so
-        #: inlining stays observationally equivalent to the render-time
-        #: lookup the interpreter does.
+        #: inlining stays observationally equivalent to a render-time
+        #: lookup.
         self.dependencies: set = set()
         self._inline_stack: List[str] = []
 
@@ -136,8 +123,8 @@ class _Compiler:
         exec(code, self.namespace)
         for const_name, blocks in self._pending_blocks.items():
             self.namespace[const_name] = {
-                name: BlockOverride(body_nodes, self.namespace[fn_name])
-                for name, (body_nodes, fn_name) in blocks.items()
+                name: self.namespace[fn_name]
+                for name, fn_name in blocks.items()
             }
         fn = self.namespace[main]
         fn.generated_source = source
@@ -154,11 +141,13 @@ class _Compiler:
         self.namespace[name] = value
         return name
 
-    @staticmethod
-    def _literal(value: Any) -> str:
-        if value is None or isinstance(value, (str, int, float, bool)):
-            return repr(value)
-        raise CompileUnsupported(f"non-literal constant {value!r}")
+    def _literal(self, value: Any) -> str:
+        """Source for a constant: its repr where that evaluates back to
+        the value, else a bound name (``inf`` from a huge numeric
+        literal has no literal form)."""
+        if isinstance(value, float) and not math.isfinite(value):
+            return self._const(value)
+        return repr(value)
 
     def _compile_function(self, kind: str, nodes: List[Node]) -> str:
         name = self._name(kind)
@@ -227,9 +216,7 @@ class _Compiler:
         elif type(node) is CacheNode:
             self._emit_cache(w, node)
         else:
-            raise CompileUnsupported(
-                f"cannot lower node type {type(node).__name__}"
-            )
+            raise TypeError(f"cannot compile node type {type(node).__name__}")
 
     def _emit_body(self, w: _Writer, nodes: List[Node]) -> None:
         """A nodes list as an indented suite (``pass`` when empty)."""
@@ -297,19 +284,16 @@ class _Compiler:
         """Lower ``expr.resolve(context, default=<default_code>)``;
         returns the temp holding the value."""
         base = expr._base
-        kind = getattr(base, "operand_kind", None)
-        if kind == "literal":
+        if base.operand_kind == "literal":
             value = self._name("_v")
             w(f"{value} = {self._literal(base.operand_value)}")
-        elif kind == "variable":
+        else:
             value = self._emit_lookup(w, base.operand_name)
             w(f"if {value} is _MISSING:")
             if expr._filters:
                 w(f"    {value} = None")
             else:
                 w(f"    {value} = {default_code}")
-        else:
-            raise CompileUnsupported(f"opaque operand in {expr.expression!r}")
 
         for name, func, arg in expr._filters:
             arg_code = self._emit_filter_arg(w, expr, arg)
@@ -327,21 +311,18 @@ class _Compiler:
                          arg) -> str:
         if arg is None:
             return "None"
-        kind = getattr(arg, "operand_kind", None)
-        if kind == "literal":
-            # The interpreter stringifies non-str arguments at each
-            # call; for literals that folds to a compile-time constant.
+        if arg.operand_kind == "literal":
+            # Filter arguments are stringified at each call (see
+            # FilterExpression.resolve); a literal folds to a constant.
             literal = arg.operand_value
             arg_str = literal if isinstance(literal, str) else str(literal)
             return self._literal(arg_str)
-        if kind == "variable":
-            name = self._emit_lookup(w, arg.operand_name)
-            w(f"if {name} is _MISSING:")
-            w(f"    {name} = None")
-            w(f"elif not isinstance({name}, str):")
-            w(f"    {name} = str({name})")
-            return name
-        raise CompileUnsupported(f"opaque filter arg in {expr.expression!r}")
+        name = self._emit_lookup(w, arg.operand_name)
+        w(f"if {name} is _MISSING:")
+        w(f"    {name} = None")
+        w(f"elif not isinstance({name}, str):")
+        w(f"    {name} = str({name})")
+        return name
 
     # ------------------------------------------------------------------
     # Node lowering
@@ -403,7 +384,7 @@ class _Compiler:
         w(f"{scope}['forloop'] = {loop_info}")
         bound = self._emit_loop_bind(w, node.loop_vars, scope, item)
         # A loop variable literally named "forloop" shadows the loop
-        # metadata, as it does in the interpreter's scope dict.
+        # metadata, as it does in the context's scope dict.
         bound.setdefault("forloop", loop_info)
         saved_locals = self._locals
         self._locals = {**saved_locals, **bound}
@@ -481,8 +462,6 @@ class _Compiler:
         w("    context.pop()")
 
     def _emit_include(self, w: _Writer, node: IncludeNode) -> None:
-        if node.engine is None:
-            raise CompileUnsupported("{% include %} without an engine")
         if self._try_inline_include(w, node):
             return
         name = self._emit_expression(w, node.template_name, "None")
@@ -499,26 +478,27 @@ class _Compiler:
         """Inline the included template's body when its name is a
         literal, so the caller's static bindings (loop variables) apply
         to the included markup's lookups.  The included template still
-        renders against the shared context, exactly as IncludeNode
+        renders against the shared context, as a render-time include
         does; the engine invalidates this template when a dependency's
         source changes (see ``TemplateEngine.add_source``).  Dynamic
-        names, unknown templates, and recursive chains keep the
-        render-time lookup."""
+        names, unknown or unparsable templates, and recursive chains
+        keep the render-time lookup, so their errors surface only when
+        the include is reached."""
         expr = node.template_name
         base = expr._base
-        name = getattr(base, "operand_value", None)
-        if (expr._filters or getattr(base, "operand_kind", None) != "literal"
-                or not isinstance(name, str) or not name
-                or name in self._inline_stack):
+        if expr._filters or base.operand_kind != "literal":
             return False
-        try:
-            source = node.engine._load_source(name)
-        except TemplateNotFoundError:
-            return False  # may be registered later; resolve at render
+        name = base.operand_value
+        if not isinstance(name, str) or not name or name in self._inline_stack:
+            return False
         # Local import: the parser has no dependency on this module.
         from repro.templates.parser import TemplateParser
 
-        nodes = TemplateParser(source, name, node.engine).parse()
+        try:
+            source = node.engine._load_source(name)
+            nodes = TemplateParser(source, name, node.engine).parse()
+        except (TemplateNotFoundError, TemplateSyntaxError):
+            return False  # may be registered or fixed later
         self.dependencies.add(name)
         self._inline_stack.append(name)
         try:
@@ -530,25 +510,20 @@ class _Compiler:
     def _emit_block(self, w: _Writer, node: BlockNode) -> None:
         overrides = self._name("_ov")
         body = self._name("_b")
-        walker = self._name("_n")
         w(f"{overrides} = _get('__blocks__')")
         w(f"{body} = {overrides}.get({node.name!r}) if {overrides} else None")
         w(f"if {body} is None:")
         w.indent()
         self._emit_body(w, node.body)
         w.dedent()
-        w(f"elif isinstance({body}, _Override):")
-        w(f"    {body}.render_into(context, parts)")
         w("else:")
-        w(f"    for {walker} in {body}:")
-        w(f"        {walker}.render(context, parts)")
+        # A child template's compiled block function.
+        w(f"    {body}(context, parts)")
 
     def _emit_extends(self, w: _Writer, node: ExtendsNode) -> None:
-        if node.engine is None:
-            raise CompileUnsupported("{% extends %} without an engine")
         blocks_const = self._name("_B")
         self._pending_blocks[blocks_const] = {
-            name: (body_nodes, self._compile_function("_block", body_nodes))
+            name: self._compile_function("_block", body_nodes)
             for name, body_nodes in node.blocks.items()
         }
         name = self._emit_expression(w, node.parent_name, "None")
@@ -563,8 +538,8 @@ class _Compiler:
         w(f"if not {name}:")
         w(f"    raise _TemplateRenderError({message})")
         w(f"{parent} = {engine}.get_template(str({name}))")
-        # Merge: inner (child) overrides win over any already present,
-        # exactly as ExtendsNode.render does.
+        # Merge: inner (child) overrides win over any already present
+        # (grandchild beats child in a 3-level chain).
         w(f"{existing} = _get('__blocks__') or {{}}")
         w(f"{merged} = dict({blocks_const})")
         w(f"{merged}.update({existing})")

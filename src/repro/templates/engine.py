@@ -11,37 +11,26 @@ from repro.templates.compiler import compile_template
 from repro.templates.context import Context
 from repro.templates.errors import TemplateNotFoundError
 from repro.templates.fragcache import FragmentCache, data_signature
-from repro.templates.nodes import Node
 from repro.templates.parser import TemplateParser
 
 
 class Template:
     """A compiled template: render with a data dict or a Context.
 
-    With ``compiled`` (the engine default) the node tree is lowered to
-    one generated Python function by :mod:`repro.templates.compiler`;
-    constructs the compiler can't lower fall back to the interpreting
-    node walk.  Both paths produce byte-identical output.
+    The source is parsed and lowered to one generated Python function
+    by :mod:`repro.templates.compiler`.  ``{% include %}`` and ``{%
+    extends %}`` need ``engine`` to load other templates.
     """
 
-    def __init__(self, source: str, name: str = "<string>", engine=None,
-                 compiled: Optional[bool] = None):
+    def __init__(self, source: str, name: str = "<string>", engine=None):
         self.name = name
         self.source = source
-        self.nodes: List[Node] = TemplateParser(source, name, engine).parse()
-        if compiled is None:
-            compiled = bool(engine.compiled) if engine is not None else False
-        self._render_fn = compile_template(self, engine) if compiled else None
+        self._render_fn = compile_template(
+            TemplateParser(source, name, engine).parse(), name)
         #: Templates whose source was inlined by the compiler; the
         #: engine cache drops this template when any of them changes.
-        self._dependencies = getattr(self._render_fn, "dependencies",
-                                     frozenset())
+        self._dependencies = self._render_fn.dependencies
         self._last_use = 0  # LRU stamp maintained by the engine cache
-
-    @property
-    def compiled(self) -> bool:
-        """True when rendering runs the generated function."""
-        return self._render_fn is not None
 
     def render(self, data: Optional[Dict[str, Any]] = None,
                autoescape: bool = True) -> str:
@@ -55,14 +44,9 @@ class Template:
         return "".join(parts)
 
     def render_into(self, context: Context, parts: List[str]) -> None:
-        """Append rendered output to ``parts`` (used by includes and
-        inheritance so nested templates keep the compiled fast path)."""
-        fn = self._render_fn
-        if fn is not None:
-            fn(context, parts)
-        else:
-            for node in self.nodes:
-                node.render(context, parts)
+        """Append rendered output to ``parts`` (called by the generated
+        code of dynamic includes and of child templates)."""
+        self._render_fn(context, parts)
 
 
 class TemplateEngine:
@@ -80,9 +64,7 @@ class TemplateEngine:
     approximate under contention (racy increments) but exact
     single-threaded.
 
-    ``compiled`` selects the generated-code render path (default on;
-    automatic per-template fallback keeps behaviour identical).  A
-    :class:`~repro.templates.fragcache.FragmentCache` can be attached —
+    A :class:`~repro.templates.fragcache.FragmentCache` can be attached —
     at construction or via :meth:`enable_fragment_cache` — to activate
     ``{% cache %}`` tags and the :meth:`render_cached` page cache; it
     is off by default.
@@ -90,13 +72,11 @@ class TemplateEngine:
 
     def __init__(self, directory: Optional[str] = None,
                  sources: Optional[Dict[str, str]] = None,
-                 compiled: bool = True,
                  cache_size: Optional[int] = 256,
                  fragment_cache: Optional[FragmentCache] = None):
         if cache_size is not None and cache_size < 1:
             raise ValueError("cache_size must be >= 1 (or None for unbounded)")
         self.directory = directory
-        self.compiled = compiled
         self.cache_size = cache_size
         self.fragment_cache = fragment_cache
         #: Optional :class:`repro.faults.plan.FaultPlan` consulted on
@@ -110,7 +90,6 @@ class TemplateEngine:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._compile_fallbacks = 0
 
     def add_source(self, name: str, source: str) -> None:
         """Register (or replace) an in-memory template."""
@@ -142,8 +121,6 @@ class TemplateEngine:
         self._misses += 1
         source = self._load_source(name)
         template = Template(source, name, engine=self)
-        if self.compiled and template._render_fn is None:
-            self._compile_fallbacks += 1
         with self._lock:
             # A racing thread may have compiled it first; keep the
             # existing entry so includes see a single instance.
@@ -222,7 +199,6 @@ class TemplateEngine:
             "hits": self._hits,
             "misses": self._misses,
             "evictions": self._evictions,
-            "compile_fallbacks": self._compile_fallbacks,
         }
 
     def _load_source(self, name: str) -> str:

@@ -190,12 +190,10 @@ def _matches_prefix(key: Hashable, prefix: Any) -> bool:
 def render_fragment(engine, context, parts: List[str],
                     body_fn: Callable[[Any, List[str]], None],
                     key_expr, timeout_expr, vary_exprs) -> None:
-    """Shared ``{% cache %}`` semantics for both render paths.
+    """``{% cache %}`` semantics, called by the compiler's generated
+    code with the tag's compiled body as ``body_fn``.
 
-    The interpreter's :class:`~repro.templates.nodes.CacheNode` and the
-    compiler's generated code both funnel through here, so the tag
-    behaves identically — including when no cache is configured, in
-    which case the body simply renders in place.
+    Without a configured cache the body simply renders in place.
     """
     cache = getattr(engine, "fragment_cache", None) if engine is not None \
         else None

@@ -1,4 +1,4 @@
-"""Compiled template node tree and expression evaluation."""
+"""Parsed template node tree and expression evaluation."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.templates.context import MISSING, Context
 from repro.templates.errors import TemplateRenderError, TemplateSyntaxError
-from repro.templates.filters import FILTERS, SafeString, escape_html
-from repro.templates.fragcache import render_fragment
+from repro.templates.filters import FILTERS
 
 # ----------------------------------------------------------------------
 # Expressions
@@ -245,11 +244,8 @@ def _safe_compare(op, left: FilterExpression, right: FilterExpression,
 
 
 class Node:
-    """Base class: a compiled template fragment."""
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        """Append rendered output to ``parts``."""
-        raise NotImplementedError
+    """Base class: a parsed template fragment.  Nodes are plain data;
+    :mod:`repro.templates.compiler` lowers a tree of them to code."""
 
 
 class TextNode(Node):
@@ -258,24 +254,12 @@ class TextNode(Node):
     def __init__(self, text: str):
         self.text = text
 
-    def render(self, context: Context, parts: List[str]) -> None:
-        parts.append(self.text)
-
 
 class VariableNode(Node):
     __slots__ = ("expression",)
 
     def __init__(self, expression: FilterExpression):
         self.expression = expression
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        value = self.expression.resolve(context, default="")
-        if value is None:
-            value = "None"
-        if context.autoescape and not isinstance(value, SafeString):
-            parts.append(escape_html(value))
-        else:
-            parts.append(value if isinstance(value, str) else str(value))
 
 
 class ForLoopInfo:
@@ -304,51 +288,6 @@ class ForNode(Node):
         self.body = body
         self.empty_body = empty_body or []
 
-    def render(self, context: Context, parts: List[str]) -> None:
-        values = self.iterable.resolve(context, default=None)
-        if values is None:
-            items: List[Any] = []
-        else:
-            try:
-                items = list(values)
-            except TypeError:
-                raise TemplateRenderError(
-                    f"{self.iterable.expression!r} is not iterable in {{% for %}}"
-                )
-        if not items:
-            for node in self.empty_body:
-                node.render(context, parts)
-            return
-        parentloop = context.get("forloop")
-        total = len(items)
-        context.push()
-        try:
-            for index, item in enumerate(items):
-                context["forloop"] = ForLoopInfo(index, total, parentloop)
-                self._bind(context, item)
-                for node in self.body:
-                    node.render(context, parts)
-        finally:
-            context.pop()
-
-    def _bind(self, context: Context, item: Any) -> None:
-        if len(self.loop_vars) == 1:
-            context[self.loop_vars[0]] = item
-            return
-        try:
-            unpacked = tuple(item)
-        except TypeError:
-            raise TemplateRenderError(
-                f"cannot unpack non-sequence into {self.loop_vars!r}"
-            )
-        if len(unpacked) != len(self.loop_vars):
-            raise TemplateRenderError(
-                f"cannot unpack {len(unpacked)} values into "
-                f"{len(self.loop_vars)} loop variables {self.loop_vars!r}"
-            )
-        for name, value in zip(self.loop_vars, unpacked):
-            context[name] = value
-
 
 class IfNode(Node):
     __slots__ = ("branches", "else_body")
@@ -358,15 +297,6 @@ class IfNode(Node):
         self.branches = branches
         self.else_body = else_body or []
 
-    def render(self, context: Context, parts: List[str]) -> None:
-        for condition, body in self.branches:
-            if condition.evaluate(context):
-                for node in body:
-                    node.render(context, parts)
-                return
-        for node in self.else_body:
-            node.render(context, parts)
-
 
 class IncludeNode(Node):
     __slots__ = ("template_name", "engine")
@@ -374,16 +304,6 @@ class IncludeNode(Node):
     def __init__(self, template_name: FilterExpression, engine):
         self.template_name = template_name
         self.engine = engine
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        name = self.template_name.resolve(context, default=None)
-        if not name:
-            raise TemplateRenderError(
-                f"{{% include %}} name {self.template_name.expression!r} "
-                f"resolved to nothing"
-            )
-        template = self.engine.get_template(str(name))
-        template.render_into(context, parts)
 
 
 class WithNode(Node):
@@ -394,40 +314,6 @@ class WithNode(Node):
     def __init__(self, bindings: List[Tuple[str, FilterExpression]], body: List[Node]):
         self.bindings = bindings
         self.body = body
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        context.push()
-        try:
-            for name, expression in self.bindings:
-                context[name] = expression.resolve(context, default=None)
-            for node in self.body:
-                node.render(context, parts)
-        finally:
-            context.pop()
-
-
-class BlockOverride:
-    """A child template's block body, in both executable forms.
-
-    ``__blocks__`` override values are either a plain ``List[Node]``
-    (pushed by an interpreted :class:`ExtendsNode`) or one of these
-    (pushed by a compiled template), which carries the node list plus
-    an optional compiled render function so a compiled parent keeps
-    the fast path through overridden blocks.
-    """
-
-    __slots__ = ("nodes", "fn")
-
-    def __init__(self, nodes: List[Node], fn=None):
-        self.nodes = nodes
-        self.fn = fn
-
-    def render_into(self, context: Context, parts: List[str]) -> None:
-        if self.fn is not None:
-            self.fn(context, parts)
-        else:
-            for node in self.nodes:
-                node.render(context, parts)
 
 
 class BlockNode(Node):
@@ -446,17 +332,6 @@ class BlockNode(Node):
         self.name = name
         self.body = body
 
-    def render(self, context: Context, parts: List[str]) -> None:
-        overrides = context.get("__blocks__")
-        body = self.body
-        if overrides and self.name in overrides:
-            body = overrides[self.name]
-            if isinstance(body, BlockOverride):
-                body.render_into(context, parts)
-                return
-        for node in body:
-            node.render(context, parts)
-
 
 class ExtendsNode(Node):
     """``{% extends "base.html" %}`` — render the parent with this
@@ -471,25 +346,6 @@ class ExtendsNode(Node):
         self.parent_name = parent_name
         self.blocks = blocks
         self.engine = engine
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        name = self.parent_name.resolve(context, default=None)
-        if not name:
-            raise TemplateRenderError(
-                f"{{% extends %}} name {self.parent_name.expression!r} "
-                f"resolved to nothing"
-            )
-        parent = self.engine.get_template(str(name))
-        # Merge: inner (child) overrides win over any already present
-        # (grandchild beats child in a 3-level chain).
-        existing = context.get("__blocks__") or {}
-        merged = dict(self.blocks)
-        merged.update(existing)
-        context.push({"__blocks__": merged})
-        try:
-            parent.render_into(context, parts)
-        finally:
-            context.pop()
 
 
 class CacheNode(Node):
@@ -512,11 +368,3 @@ class CacheNode(Node):
         self.vary = vary
         self.body = body
         self.engine = engine
-
-    def _render_body(self, context: Context, parts: List[str]) -> None:
-        for node in self.body:
-            node.render(context, parts)
-
-    def render(self, context: Context, parts: List[str]) -> None:
-        render_fragment(self.engine, context, parts, self._render_body,
-                        self.key, self.timeout, self.vary)

@@ -58,8 +58,12 @@ class TPCWApplication(Application):
                  image_bytes: int = 2048,
                  compiled_templates: bool = True,
                  fragment_cache: bool = False):
-        super().__init__(templates=TemplateEngine(
-            sources=dict(TEMPLATES), compiled=compiled_templates))
+        # Templates always compile.  The parameter survives only
+        # because perfbench/server.py passes compiled_templates=True.
+        if compiled_templates is not True:
+            raise ValueError("templates always compile; "
+                             "compiled_templates must be True")
+        super().__init__(templates=TemplateEngine(sources=dict(TEMPLATES)))
         if fragment_cache:
             # Activates the {% cache %} tags on the static-ish subject
             # sidebars (home, search_request) and render_cached().

@@ -6,13 +6,21 @@ queue traces look like — using the quick preset (same structure as the
 paper-scale run, scaled client count and window).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.harness.experiments import ExperimentRunner
+from repro.harness.export import results_document
 from repro.sim.workload import LENGTHY_REPORT_PAGES, WorkloadConfig
 from repro.tpcw.mix import PAPER_PAGE_NAMES
 
 LENGTHY_NAMES = {PAPER_PAGE_NAMES[p] for p in LENGTHY_REPORT_PAGES}
+
+#: ``python -m repro.harness --export-json`` at the quick preset: the
+#: complete results document, pinned byte for byte.
+GOLDEN_EXPORT = Path(__file__).with_name("quick_export.golden.json")
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +147,18 @@ class TestReserveDynamics:
         adaptive law is engaged, not sitting at the minimum)."""
         values = runner.staged.treserve_series.values
         assert max(values) > min(values)
+
+
+class TestGoldenExport:
+    def test_export_json_is_byte_identical(self, runner):
+        """The whole quick-preset document -- every table, series and
+        the shape report -- must not drift.  A change that moves it on
+        purpose regenerates the file with ``python -m repro.harness
+        --export-json tests/integration/quick_export.golden.json`` and
+        explains the delta."""
+        exported = json.dumps(results_document(runner), indent=2,
+                              sort_keys=True)
+        assert exported == GOLDEN_EXPORT.read_text(encoding="utf-8")
 
 
 class TestSeedRobustness:

@@ -87,10 +87,15 @@ class TestClassLabels:
         series = stats.class_throughput_series(RequestClass.LENGTHY_DYNAMIC)
         assert sum(series.values) == 1.0
 
-    def test_plain_string_class_still_accepted(self, stats):
-        # Legacy callers (and ad-hoc tooling) may pass a bare label.
-        stats.record_completion("/a", "dynamic", 0.1)
-        assert sum(stats.class_throughput_series("dynamic").values) == 1.0
+    def test_plain_string_class_rejected(self, stats):
+        # Only RequestClass is accepted, and a rejected call leaves no
+        # half-recorded completion behind.
+        with pytest.raises(KeyError):
+            stats.record_completion("/a", "dynamic", 0.1)
+        assert stats.completions() == {}
+        assert stats.total_completions() == 0
+        assert sum(stats.throughput_series().values) == 0
+        assert len(stats.class_throughput_series("dynamic")) == 0
 
 
 class TestSeries:

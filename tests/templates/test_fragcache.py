@@ -8,6 +8,12 @@ from repro.templates import (
     TemplateRenderError,
     data_signature,
 )
+from tests.templates.oracle import OracleEngine
+
+
+def engine_class(compiled):
+    """The compiling engine, or the node-walk oracle."""
+    return TemplateEngine if compiled else OracleEngine
 
 
 class FakeClock:
@@ -120,7 +126,7 @@ class TestCacheTag:
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_tag_caches_fragment(self, compiled):
-        engine = TemplateEngine(sources=dict(self.SOURCES), compiled=compiled)
+        engine = engine_class(compiled)(sources=dict(self.SOURCES))
         engine.enable_fragment_cache()
         assert engine.render("page.html", {"sidebar_key": "s", "n": 1}) == "A[1]B"
         # Same key: the stale fragment is served, by design.
@@ -152,7 +158,7 @@ class TestCacheTag:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_bad_timeout_raises(self, compiled):
         sources = {"p.html": "{% cache 'k' junk %}x{% endcache %}"}
-        engine = TemplateEngine(sources=sources, compiled=compiled)
+        engine = engine_class(compiled)(sources=sources)
         engine.enable_fragment_cache()
         with pytest.raises(TemplateRenderError, match="is not a number"):
             engine.render("p.html", {"junk": "zz"})

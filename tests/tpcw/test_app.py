@@ -3,7 +3,7 @@
 import pytest
 
 from repro.http.errors import NotFoundError
-from repro.tpcw.app import PAGES
+from repro.tpcw.app import PAGES, TPCWApplication
 from repro.tpcw.mix import PAPER_PAGE_NAMES
 
 
@@ -41,6 +41,11 @@ class TestAllPages:
 
     def test_paper_names_cover_all_pages(self):
         assert set(PAPER_PAGE_NAMES) == set(PAGES)
+
+    def test_templates_cannot_be_interpreted(self, empty_database):
+        assert TPCWApplication(empty_database, compiled_templates=True)
+        with pytest.raises(ValueError, match="compiled_templates"):
+            TPCWApplication(empty_database, compiled_templates=False)
 
 
 class TestHome:
