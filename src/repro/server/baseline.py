@@ -122,7 +122,7 @@ class BaselineServer(PipelineServer):
         Still the paper's thread-per-request model — parsing, data
         generation, and rendering all happen on this one thread — but
         the *idle* time between keep-alive requests is spent in the
-        reactor's selector, not blocking here.
+        reactor's epoll set, not blocking here.
         """
         client = job.client
         try:

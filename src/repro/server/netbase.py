@@ -142,17 +142,12 @@ class ClientConnection:
         """The underlying socket's file descriptor (-1 once closed)."""
         return self._sock.fileno()
 
-    @property
-    def raw_socket(self) -> socket.socket:
-        """The underlying socket, for selector registration."""
-        return self._sock
-
     def has_buffered_data(self) -> bool:
         """Whether already-received bytes await parsing (pipelining).
 
         A connection with buffered data must not be parked in the
-        reactor — the selector would never fire for bytes that sit in
-        our own buffers rather than the kernel's.
+        reactor — epoll would never report bytes that sit in our own
+        buffers rather than the kernel's.
         """
         if self._leftover:
             return True

@@ -44,15 +44,14 @@ class ThreadPool:
         self.size = size
         self.max_queue = max_queue
         self.rejected = 0
-        # The queue itself enforces the bound (maxsize=0 means
-        # unbounded); submit() uses put_nowait under _submit_lock so
-        # the capacity check and the insert are one atomic step.
-        self._queue: "queue.Queue[Any]" = queue.Queue(
-            maxsize=max_queue if max_queue is not None else 0
-        )
-        self._submit_lock = threading.Lock()
+        # SimpleQueue hands tasks over in C; the bound is enforced by
+        # the waiting count, checked and bumped under _lock with the
+        # put, so concurrent submits cannot overshoot it.
+        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        # Guards _waiting, _busy, _shutdown and rejected.
+        self._lock = threading.Lock()
+        self._waiting = 0
         self._busy = 0
-        self._busy_lock = threading.Lock()
         self._worker_init = worker_init
         self._worker_cleanup = worker_cleanup
         self._error_handler = error_handler
@@ -83,33 +82,33 @@ class ThreadPool:
         bound — admission control in the spirit of the overload work
         the paper cites (Welsh & Culler's load shedding).
         """
-        with self._submit_lock:
+        with self._lock:
             if self._shutdown:
                 raise RuntimeError(f"pool {self.name!r} is shut down")
-            try:
-                self._queue.put_nowait((handler, item))
-            except queue.Full:
+            if self.max_queue is not None and self._waiting >= self.max_queue:
                 self.rejected += 1
                 raise PoolOverloadedError(
                     f"pool {self.name!r} queue is full "
                     f"({self.max_queue} waiting)"
-                ) from None
+                )
+            self._waiting += 1
+            self._queue.put((handler, item))
 
     @property
     def queue_length(self) -> int:
         """Number of tasks waiting (not yet picked up by a worker)."""
-        return self._queue.qsize()
+        return self._waiting
 
     @property
     def busy(self) -> int:
         """Workers currently executing a task."""
-        with self._busy_lock:
+        with self._lock:
             return self._busy
 
     @property
     def spare(self) -> int:
         """Idle workers — the paper's ``tspare`` for this pool."""
-        with self._busy_lock:
+        with self._lock:
             return self.size - self._busy
 
     # ------------------------------------------------------------------
@@ -126,7 +125,8 @@ class ThreadPool:
                 if task is _SHUTDOWN:
                     return
                 handler, item = task
-                with self._busy_lock:
+                with self._lock:
+                    self._waiting -= 1
                     self._busy += 1
                 try:
                     if self._fault_hook is not None:
@@ -136,7 +136,7 @@ class ThreadPool:
                 except Exception as exc:
                     self._record_error(exc, item)
                 finally:
-                    with self._busy_lock:
+                    with self._lock:
                         self._busy -= 1
         finally:
             if self._worker_cleanup is not None:
@@ -159,20 +159,13 @@ class ThreadPool:
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True, timeout: float = 5.0) -> None:
         """Stop all workers after the queue drains."""
-        with self._submit_lock:
+        with self._lock:
             if self._shutdown:
                 return
             self._shutdown = True
+        # One sentinel per worker, queued behind every admitted task.
         for _ in self._threads:
-            # A bounded queue may be at capacity; keep trying while any
-            # worker remains alive to drain it.
-            while True:
-                try:
-                    self._queue.put(_SHUTDOWN, timeout=0.1)
-                    break
-                except queue.Full:
-                    if not any(t.is_alive() for t in self._threads):
-                        break
+            self._queue.put(_SHUTDOWN)
         if wait:
             for thread in self._threads:
                 thread.join(timeout=timeout)

@@ -1,4 +1,4 @@
-"""Event-driven connection reactor: idle sockets wait in a selector.
+"""Event-driven connection reactor: idle sockets wait in one epoll set.
 
 The staged design's whole point (paper §3.2) is that scarce threads
 never block on work another stage should absorb — yet a blocking
@@ -10,9 +10,9 @@ has nothing to do with the scheduling policy under test.
 
 The reactor applies the SEDA-style remedy (Welsh & Culler, cited by
 the paper; see also Voras & Žagar on multithreading models for
-IO-driven servers): sockets with nothing to read wait in an OS
-``selectors`` event loop owned by one thread, and worker pools only
-ever receive connections that have bytes ready.  Both servers use it:
+IO-driven servers): sockets with nothing to read wait in a Linux
+``epoll`` set watched by one thread, and worker pools only ever
+receive connections that have bytes ready.  Both servers use it:
 
 - On accept, the listener *parks* the connection instead of submitting
   it to a pool; the reactor dispatches it the moment bytes arrive.
@@ -20,7 +20,13 @@ ever receive connections that have bytes ready.  Both servers use it:
   again rather than re-entering the header (or worker) pool to block.
 - Pipelined leftovers short-circuit: a connection whose next request
   is already buffered in userspace is dispatched immediately, because
-  the kernel-level selector would never fire for it.
+  the kernel would never report it readable.
+
+Parking is a hand-off the paper's stage graph does not have, so it
+costs no thread switch: the parking thread records the connection and
+arms its socket itself, with ``EPOLLONESHOT``.  The kernel disarms a
+one-shot socket when it reports it, so the reactor thread only ever
+pops the entry and dispatches — it never registers or unregisters.
 
 The reactor also centralises two resource-management duties that were
 previously scattered across blocking reads:
@@ -38,20 +44,21 @@ response instead of a hang or a reset.
 
 from __future__ import annotations
 
-import selectors
+import select
 import socket
 import threading
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.http.response import HTTPResponse
 from repro.server.netbase import DEFAULT_SOCKET_TIMEOUT, ClientConnection
 from repro.server.pools import PoolOverloadedError
 
+_ARMED = select.EPOLLIN | select.EPOLLONESHOT
+
 
 class _Parked:
-    """A registered connection and its idle deadline."""
+    """A parked connection and its idle deadline."""
 
     __slots__ = ("connection", "deadline")
 
@@ -61,7 +68,7 @@ class _Parked:
 
 
 class ConnectionReactor:
-    """One selector thread watching every parked client socket.
+    """One epoll thread watching every parked client socket (Linux only).
 
     Parameters
     ----------
@@ -98,16 +105,20 @@ class ConnectionReactor:
         self._max_connections = max_connections
         self._on_idle_reap = on_idle_reap
         self._on_shed = on_shed
-        self._selector = selectors.DefaultSelector()
+        self._epoll = select.epoll()
+        # Guards the table, the counters and _closed; park() also reads
+        # the stopping flag under it (see park).
         self._lock = threading.Lock()
-        self._pending: Deque[ClientConnection] = deque()
+        # fd -> entry.  Deadlines are taken under the lock with one
+        # idle_timeout, so insertion order is deadline order: the
+        # first entry is always the next to expire.
         self._parked: Dict[int, _Parked] = {}
-        # Self-pipe: park() and stop() run on other threads, and the
-        # selector must wake to notice new registrations or shutdown.
+        # Self-pipe: stop() must wake a reactor sleeping until the
+        # next deadline.  Parks never need it (see _plan_wake).
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._epoll.register(self._wake_r.fileno(), select.EPOLLIN)
         self._stopping = threading.Event()
         self._started = False
         self._closed = False
@@ -121,16 +132,17 @@ class ConnectionReactor:
     def parked_count(self) -> int:
         """Connections currently waiting in the reactor."""
         with self._lock:
-            return len(self._parked) + len(self._pending)
+            return len(self._parked)
 
     def gauges(self) -> Dict[str, int]:
         """Point-in-time reactor metrics."""
-        return {
-            "parked": self.parked_count,
-            "dispatched": self.dispatched,
-            "idle_reaped": self.idle_reaped,
-            "sheds": self.sheds,
-        }
+        with self._lock:
+            return {
+                "parked": len(self._parked),
+                "dispatched": self.dispatched,
+                "idle_reaped": self.idle_reaped,
+                "sheds": self.sheds,
+            }
 
     # ------------------------------------------------------------------
     def start(self) -> "ConnectionReactor":
@@ -141,9 +153,9 @@ class ConnectionReactor:
     def park(self, connection: ClientConnection) -> None:
         """Watch ``connection`` until it has something to read.
 
-        Callable from any thread.  Connections with buffered pipelined
-        data dispatch immediately on the calling thread; everything
-        else is handed to the reactor thread for registration.
+        Callable from any thread, and complete when it returns: the
+        connection is parked, dispatched (buffered pipelined data),
+        shed (over the cap) or closed (reactor stopping).
         """
         if connection.closed:
             return
@@ -151,40 +163,62 @@ class ConnectionReactor:
             connection.close()
             return
         if connection.has_buffered_data():
+            with self._lock:
+                self.dispatched += 1
             self._dispatch(connection)
             return
+        fd = connection.fileno()
+        entry = None
         with self._lock:
-            if (self._max_connections is not None
-                    and len(self._parked) + len(self._pending)
-                    >= self._max_connections):
-                over_cap = True
-            else:
-                over_cap = False
-                self._pending.append(connection)
-        if over_cap:
+            # Checked in the same critical section as the insert, so a
+            # park racing stop() either lands before _cleanup's clear
+            # (and is closed by it) or sees the flag.
+            stopping = self._stopping.is_set()
+            over_cap = (not stopping and self._max_connections is not None
+                        and len(self._parked) >= self._max_connections)
+            if not stopping and not over_cap:
+                # Recorded before arming, so a readiness event always
+                # finds its entry.
+                entry = _Parked(connection,
+                                time.monotonic() + self._idle_timeout)
+                self._parked[fd] = entry
+        if stopping:
+            connection.close()
+        elif over_cap:
             # No request is in flight on a parked connection, so there
             # is nothing meaningful to respond to — just shed it.
             self._shed(connection, respond=False)
-            return
-        self._wake()
+        else:
+            self._arm(fd, entry)
 
     def stop(self) -> None:
         """Stop the loop and close every parked connection."""
         self._stopping.set()
-        self._wake()
+        try:
+            self._wake_w.send(b"\x00")
+        except OSError:  # already closed by an earlier stop()
+            pass
         if self._started:
             self._thread.join(timeout=2.0)
         self._cleanup()
 
     # ------------------------------------------------------------------
-    def _wake(self) -> None:
+    def _arm(self, fd: int, entry: _Parked) -> None:
         try:
-            self._wake_w.send(b"\x00")
-        except OSError:  # pipe full or closed: a wakeup is already queued
-            pass
+            try:
+                self._epoll.modify(fd, _ARMED)
+            except FileNotFoundError:
+                # First park of this socket, or an fd number reused
+                # after a close (closing a socket drops it from epoll).
+                self._epoll.register(fd, _ARMED)
+        except (OSError, ValueError):
+            # The epoll was closed by stop(), or the socket died.
+            with self._lock:
+                if self._parked.get(fd) is entry:
+                    del self._parked[fd]
+            entry.connection.close()
 
     def _dispatch(self, connection: ClientConnection) -> None:
-        self.dispatched += 1
         try:
             self._on_ready(connection)
         except PoolOverloadedError:
@@ -194,7 +228,8 @@ class ConnectionReactor:
             connection.close()
 
     def _shed(self, connection: ClientConnection, respond: bool) -> None:
-        self.sheds += 1
+        with self._lock:
+            self.sheds += 1
         if self._on_shed is not None:
             try:
                 self._on_shed()
@@ -213,97 +248,67 @@ class ConnectionReactor:
     # Reactor thread
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        # The wake pipe is written only by stop(), so it is never
+        # drained: the loop condition ends the thread after it fires.
         while not self._stopping.is_set():
-            self._register_pending()
             try:
-                events = self._selector.select(self._poll_timeout())
-            except OSError:  # selector closed under us during shutdown
+                events = self._epoll.poll(self._plan_wake())
+            except (OSError, ValueError):  # epoll closed during shutdown
                 return
-            now = time.monotonic()
-            for key, _mask in events:
-                if key.fileobj is self._wake_r:
-                    self._drain_wakeups()
-                    continue
-                parked = self._unpark(key.data)
-                if parked is not None:
-                    self._dispatch(parked.connection)
-            self._reap_idle(now)
-
-    def _register_pending(self) -> None:
-        while True:
+            ready = []
             with self._lock:
-                if not self._pending:
-                    return
-                connection = self._pending.popleft()
-            deadline = time.monotonic() + self._idle_timeout
-            fd = connection.fileno()
-            try:
-                self._selector.register(connection.raw_socket,
-                                        selectors.EVENT_READ, fd)
-            except (ValueError, KeyError, OSError):
-                # Closed (fd -1) or already registered: drop it.
-                connection.close()
-                continue
-            with self._lock:
-                self._parked[fd] = _Parked(connection, deadline)
+                for fd, _mask in events:
+                    parked = self._parked.pop(fd, None)
+                    if parked is not None:
+                        ready.append(parked.connection)
+                self.dispatched += len(ready)
+            for connection in ready:
+                self._dispatch(connection)
+            self._reap_idle(time.monotonic())
 
-    def _poll_timeout(self) -> Optional[float]:
+    def _plan_wake(self) -> float:
+        """Seconds until the earliest deadline, or one idle timeout.
+
+        Planning one idle timeout ahead for an empty table means a
+        later park's deadline (taken under the same lock, on the same
+        monotonic clock) is never earlier than the planned wake-up, so
+        parking never has to interrupt the reactor.
+        """
         with self._lock:
-            if not self._parked:
-                return None  # the self-pipe wakes us for new work
-            earliest = min(p.deadline for p in self._parked.values())
-        return max(0.0, earliest - time.monotonic())
-
-    def _drain_wakeups(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except OSError:
-            pass
-
-    def _unpark(self, fd: int) -> Optional[_Parked]:
-        with self._lock:
-            parked = self._parked.pop(fd, None)
-        if parked is None:
-            return None
-        try:
-            self._selector.unregister(parked.connection.raw_socket)
-        except (KeyError, ValueError, OSError):
-            pass
-        return parked
+            if self._parked:
+                wake_at = next(iter(self._parked.values())).deadline
+            else:
+                wake_at = time.monotonic() + self._idle_timeout
+        return max(0.0, wake_at - time.monotonic())
 
     def _reap_idle(self, now: float) -> None:
+        expired = []
         with self._lock:
-            expired = [fd for fd, parked in self._parked.items()
-                       if parked.deadline <= now]
-        for fd in expired:
-            parked = self._unpark(fd)
-            if parked is None:
-                continue
-            self.idle_reaped += 1
+            for fd, parked in self._parked.items():
+                if parked.deadline > now:
+                    break
+                expired.append(fd)
+            expired = [self._parked.pop(fd).connection for fd in expired]
+            self.idle_reaped += len(expired)
+        for connection in expired:
             if self._on_idle_reap is not None:
                 try:
                     self._on_idle_reap()
                 except Exception:  # metrics must never break reaping
                     pass
-            parked.connection.close()
+            # Closing the socket also drops it from the epoll set.
+            connection.close()
 
     def _cleanup(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         with self._lock:
-            leftovers = list(self._pending) + [
-                p.connection for p in self._parked.values()
-            ]
-            self._pending.clear()
+            if self._closed:
+                return
+            self._closed = True
+            leftovers = [p.connection for p in self._parked.values()]
             self._parked.clear()
         for connection in leftovers:
             connection.close()
-        try:
-            self._selector.close()
-        except OSError:  # pragma: no cover - double close
-            pass
+        self._epoll.close()
         for sock in (self._wake_r, self._wake_w):
             try:
                 sock.close()

@@ -150,6 +150,25 @@ class TestAdmissionControl:
         release.set()
         pool.shutdown()
 
+    def test_shutdown_of_a_full_bounded_queue_drains_it(self):
+        pool = ThreadPool("t", 1, max_queue=2)
+        running, release = threading.Event(), threading.Event()
+        results = []
+        pool.submit(lambda _x: (running.set(), release.wait(timeout=10)), None)
+        assert running.wait(timeout=5)
+        pool.submit(results.append, 1)
+        pool.submit(results.append, 2)
+        started = time.monotonic()
+        pool.shutdown(wait=False)  # must not wait for queue room
+        assert time.monotonic() - started < 1.0
+        release.set()
+        pool.shutdown()  # no-op: already shut down
+        for thread in pool._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert results == [1, 2]
+        assert pool.queue_length == 0
+
     def test_unbounded_by_default(self):
         pool = ThreadPool("t", 1)
         release = threading.Event()
