@@ -88,7 +88,7 @@ def lengthy_mean(results):
 
 @pytest.fixture(scope="module")
 def paper_policy_run():
-    return run_tpcw_simulation("staged", ablation_config())
+    return run_tpcw_simulation("staged", ablation_config()).stats
 
 
 def test_a1_single_dynamic_pool(benchmark, paper_policy_run):
@@ -99,7 +99,7 @@ def test_a1_single_dynamic_pool(benchmark, paper_policy_run):
         args=("staged", ablation_config()),
         kwargs={"dispatcher": AlwaysGeneralDispatcher()},
         rounds=1, iterations=1,
-    )
+    ).stats
     protected = quick_mean(paper_policy_run)
     unprotected = quick_mean(merged)
     print(f"\nA1 quick-page mean: paper policy {protected:.3f}s vs "
@@ -119,7 +119,7 @@ def test_a2_strict_separation(benchmark, paper_policy_run):
         args=("staged", ablation_config()),
         kwargs={"dispatcher": StrictSeparationDispatcher()},
         rounds=1, iterations=1,
-    )
+    ).stats
     adaptive = lengthy_mean(paper_policy_run)
     separated = lengthy_mean(strict)
     print(f"\nA2 lengthy-page mean: adaptive {adaptive:.2f}s vs "
@@ -138,7 +138,7 @@ def test_a3_frozen_reserve(benchmark, paper_policy_run):
         args=("staged", ablation_config(minimum_reserve=2,
                                         maximum_reserve=2)),
         rounds=1, iterations=1,
-    )
+    ).stats
     adaptive_quick = quick_mean(paper_policy_run)
     frozen_quick = quick_mean(frozen)
     print(f"\nA3 quick-page mean: adaptive {adaptive_quick:.3f}s vs "
@@ -152,13 +152,13 @@ def test_a4_baseline_sizing_sensitivity(benchmark):
     binding resource, the gain is a decreasing function of baseline
     size.  This is the reproduction's most important caveat (the paper
     reports no pool sizes)."""
-    staged = run_tpcw_simulation("staged", ablation_config())
+    staged = run_tpcw_simulation("staged", ablation_config()).stats
     gains = {}
 
     def sweep():
         for workers in (14, 20, 30):
             config = ablation_config(baseline_workers=workers)
-            baseline = run_tpcw_simulation("baseline", config)
+            baseline = run_tpcw_simulation("baseline", config).stats
             gains[workers] = 100 * (
                 staged.total_completions() / baseline.total_completions() - 1
             )

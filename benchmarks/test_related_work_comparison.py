@@ -44,19 +44,20 @@ def lengthy_mean(results):
 
 @pytest.fixture(scope="module")
 def staged_run():
-    return run_tpcw_simulation("staged", CONFIG)
+    return run_tpcw_simulation("staged", CONFIG).stats
 
 
 def test_e1_sjf_comparison(benchmark, staged_run):
     sjf = benchmark.pedantic(
         run_tpcw_simulation, args=("sjf", CONFIG), rounds=1, iterations=1
-    )
-    baseline = run_tpcw_simulation("baseline", CONFIG)
+    ).stats
+    baseline = run_tpcw_simulation("baseline", CONFIG).stats
 
     def lengthy_worst(results):
+        summaries = results.response_time_summary()
         return max(
-            results.response_times[p].maximum
-            for p in LENGTHY_REPORT_PAGES if p in results.response_times
+            summaries[p]["max"]
+            for p in LENGTHY_REPORT_PAGES if p in summaries
         )
 
     print("\nE1 quick mean / lengthy mean / lengthy worst-case (s):")
@@ -89,7 +90,7 @@ def test_e2_render_inline_ablation(benchmark, staged_run):
     inline = benchmark.pedantic(
         run_tpcw_simulation, args=("staged-render-inline", CONFIG),
         rounds=1, iterations=1,
-    )
+    ).stats
     separated = staged_run.total_completions()
     inlined = inline.total_completions()
     print(f"\nE2 completions: render pool {separated} vs inline {inlined} "

@@ -20,7 +20,7 @@ def test_table3_baseline_run(benchmark, runner, workload_config):
         run_tpcw_simulation,
         args=("baseline", workload_config),
         rounds=1, iterations=1,
-    )
+    ).stats
     assert results.total_completions() > 0
     benchmark.extra_info["completions"] = results.total_completions()
 

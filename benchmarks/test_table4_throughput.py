@@ -14,7 +14,7 @@ def test_table4_staged_run(benchmark, runner, workload_config):
         run_tpcw_simulation,
         args=("staged", workload_config),
         rounds=1, iterations=1,
-    )
+    ).stats
     assert results.total_completions() > 0
     benchmark.extra_info["completions"] = results.total_completions()
 

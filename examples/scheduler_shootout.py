@@ -53,11 +53,12 @@ def quick_mean(results) -> float:
 def lengthy_stats(results):
     means = []
     worst = 0.0
+    summaries = results.response_time_summary()
     for page in LENGTHY_REPORT_PAGES:
-        accumulator = results.response_times.get(page)
-        if accumulator is not None and accumulator.count:
-            means.append(accumulator.mean)
-            worst = max(worst, accumulator.maximum)
+        summary = summaries.get(page)
+        if summary is not None:
+            means.append(summary["mean"])
+            worst = max(worst, summary["max"])
     return sum(means) / len(means), worst
 
 
@@ -74,7 +75,7 @@ def main() -> None:
 
     runs = {}
     for kind, label in SERVERS:
-        results = run_tpcw_simulation(kind, CONFIG)
+        results = run_tpcw_simulation(kind, CONFIG).stats
         runs[kind] = results
         lengthy_mean, lengthy_worst = lengthy_stats(results)
         print(f"{label:32s} {results.total_completions():>12d} "

@@ -48,17 +48,17 @@ def simulate_spike() -> None:
         mix_weights=spiky_mix,
     )
     print("simulating a lengthy-page stampede against the staged server...")
-    results = run_tpcw_simulation("staged", config, profiles=profiles)
+    results = run_tpcw_simulation("staged", config, profiles=profiles).stats
 
     print()
-    print(format_series(results.spare_series, "tspare (general pool spare threads)"))
+    print(format_series(results.series("tspare"), "tspare (general pool spare threads)"))
     print()
-    print(format_series(results.treserve_series, "treserve (adaptive reserve)"))
+    print(format_series(results.series("treserve"), "treserve (adaptive reserve)"))
     print()
-    print(format_series(results.queue_series["general"],
+    print(format_series(results.series("queue/general"),
                         "general-pool queue (quick requests protected)"))
     print()
-    print(format_series(results.queue_series["lengthy"],
+    print(format_series(results.series("queue/lengthy"),
                         "lengthy-pool queue (absorbing the stampede)"))
 
     quick_pages = ("/home", "/product_detail", "/search_request")

@@ -94,16 +94,16 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> Dict:
         "servers": {},
     }
     for kind in ("baseline", "staged"):
-        results = run_tpcw_simulation(
+        server = run_tpcw_simulation(
             kind, config=config.workload,
             fault_rules=rules, fault_seed=config.fault_seed,
             resilience=resilience,
         )
         document["servers"][kind] = {
-            "completed": results.total_completions(),
-            "fault_report": results.fault_report,
-            "resilience_report": results.resilience_report,
-            "errors": results.errors,
+            "completed": server.stats.total_completions(),
+            "fault_report": server.fault_harness.plan.fault_report(),
+            "resilience_report": server.stats.resilience_report(),
+            "errors": server.stats.errors(),
         }
     return document
 

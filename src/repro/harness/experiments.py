@@ -6,7 +6,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reserve import ReserveController
-from repro.sim.results import SimResults
+from repro.server.stats import ServerStats
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     LENGTHY_REPORT_PAGES,
@@ -100,24 +100,32 @@ class ExperimentRunner:
                  profiles: Optional[Dict[str, PageProfile]] = None):
         self.config = config if config is not None else WorkloadConfig()
         self.profiles = profiles if profiles is not None else DEFAULT_PROFILES
-        self._results: Dict[str, SimResults] = {}
+        self._results: Dict[str, ServerStats] = {}
 
-    def results(self, kind: str) -> SimResults:
+    def results(self, kind: str) -> ServerStats:
+        """The finished run's stats, on simulated time."""
         if kind not in ("baseline", "staged"):
             raise ValueError(f"unknown server kind {kind!r}")
         if kind not in self._results:
             self._results[kind] = run_tpcw_simulation(
                 kind, self.config, profiles=self.profiles
-            )
+            ).stats
         return self._results[kind]
 
     @property
-    def baseline(self) -> SimResults:
+    def baseline(self) -> ServerStats:
         return self.results("baseline")
 
     @property
-    def staged(self) -> SimResults:
+    def staged(self) -> ServerStats:
         return self.results("staged")
+
+    def _throughput(self, stats: ServerStats, bucket_seconds: float,
+                    request_class: Optional[str] = None) -> TimeSeries:
+        """Completions per bucket over the measurement window."""
+        start = self.config.ramp_up
+        return stats.throughput_series(bucket_seconds, request_class,
+                                       start, start + self.config.measure)
 
     # ------------------------------------------------------------------
     # Table 3: per-page mean response times
@@ -136,8 +144,8 @@ class ExperimentRunner:
     # Table 4: per-page completed interactions + overall gain
     # ------------------------------------------------------------------
     def table4(self) -> Dict[str, Tuple[int, int]]:
-        base = self.baseline.completions
-        staged = self.staged.completions
+        base = self.baseline.completions()
+        staged = self.staged.completions()
         rows = {}
         for path, name in PAPER_PAGE_NAMES.items():
             if path in base or path in staged:
@@ -155,14 +163,14 @@ class ExperimentRunner:
     # Figure 7: dynamic-request queue length, unmodified server
     # ------------------------------------------------------------------
     def figure7(self) -> TimeSeries:
-        return self.baseline.queue_series["dynamic"]
+        return self.baseline.series("queue/dynamic")
 
     # ------------------------------------------------------------------
     # Figure 8: general / lengthy queue lengths, modified server
     # ------------------------------------------------------------------
     def figure8(self) -> Tuple[TimeSeries, TimeSeries]:
         staged = self.staged
-        return staged.queue_series["general"], staged.queue_series["lengthy"]
+        return staged.series("queue/general"), staged.series("queue/lengthy")
 
     # ------------------------------------------------------------------
     # Figure 9: overall throughput (requests/min) over the run
@@ -170,8 +178,8 @@ class ExperimentRunner:
     def figure9(self, bucket_seconds: float = 60.0
                 ) -> Tuple[TimeSeries, TimeSeries]:
         return (
-            self.baseline.throughput_series(bucket_seconds),
-            self.staged.throughput_series(bucket_seconds),
+            self._throughput(self.baseline, bucket_seconds),
+            self._throughput(self.staged, bucket_seconds),
         )
 
     # ------------------------------------------------------------------
@@ -184,8 +192,9 @@ class ExperimentRunner:
         out = {}
         for request_class in self.FIGURE10_CLASSES:
             out[request_class] = (
-                self.baseline.throughput_series(bucket_seconds, request_class),
-                self.staged.throughput_series(bucket_seconds, request_class),
+                self._throughput(self.baseline, bucket_seconds,
+                                 request_class),
+                self._throughput(self.staged, bucket_seconds, request_class),
             )
         return out
 

@@ -119,7 +119,7 @@ def server_stats_document(stats) -> Dict:
         "stage_timings": stats.stage_timing_summary(),
         "queue_series": {
             name: _series_samples(series)
-            for name, series in stats.queue_series.items()
+            for name, series in stats.queue_series().items()
         },
         "connection_gauges": stats.connection_gauges(),
         "connection_utilization": stats.connection_utilization(),

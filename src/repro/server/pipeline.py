@@ -379,7 +379,7 @@ class Pipeline:
                 # Expired before service even began: fail 504 without
                 # running the handler — and, crucially, without leasing
                 # a connection a doomed request would only waste.
-                self.stats.record_deadline_expired(stage.name)
+                self.stats.record_resilience(stage.name, "deadline_expired")
                 outcome = Fail(504, "request deadline expired")
             else:
                 try:
@@ -431,7 +431,7 @@ class Pipeline:
         if self._on_degraded is not None:
             degraded = self._on_degraded(job)
             if degraded is not None:
-                self.stats.record_degraded(stage.name)
+                self.stats.record_resilience(stage.name, "degraded_served")
                 return Complete(degraded)
         retry_after = max(1, int(math.ceil(exc.retry_after)))
         return Fail(503, "database circuit breaker open",
@@ -467,11 +467,11 @@ class Pipeline:
         connection that now belongs downstream — closing it here was
         the latent double-close path.
         """
-        self.stats.record_worker_crash(stage_name)
+        self.stats.record_resilience(stage_name, "worker_crashes")
         if not isinstance(item, RequestJob):
             return
         if item.finished or item.stage != stage_name:
-            self.stats.record_late_completion(stage_name)
+            self.stats.record_resilience(stage_name, "late_completions")
             return
         self.fail(item, 500, "worker crashed")
 
@@ -488,7 +488,7 @@ class Pipeline:
         already parked or closed.
         """
         if job.finished:
-            self.stats.record_late_completion(job.stage)
+            self.stats.record_resilience(job.stage, "late_completions")
             return
         job.finished = True
         response = head_strip(job.request, response)
@@ -527,7 +527,7 @@ class Pipeline:
              headers: Optional[Dict[str, str]] = None) -> None:
         """Transmit an error response and close the connection."""
         if job.finished:
-            self.stats.record_late_completion(job.stage)
+            self.stats.record_resilience(job.stage, "late_completions")
             return
         job.finished = True
         response = HTTPResponse.error(status, message)
@@ -650,14 +650,14 @@ class PipelineServer:
             idle_timeout=idle_timeout if idle_timeout is not None
             else socket_timeout,
             max_connections=max_connections,
-            on_idle_reap=self.stats.record_idle_reap,
-            on_shed=self.stats.record_shed,
         )
+        self.stats.reactor_gauges = self.reactor.gauges
         self._listener = Listener(host, port, self._on_accept,
                                   socket_timeout=socket_timeout,
                                   faults=faults)
         self._sampler = PeriodicTask(
-            queue_sample_interval, self._sample_queues, name="queue-sampler"
+            queue_sample_interval, self.pipeline.sample_queues,
+            name="queue-sampler",
         )
         self._periodic_tasks: List[PeriodicTask] = [self._sampler]
         self._running = False
@@ -701,10 +701,6 @@ class PipelineServer:
     def _park(self, client: ClientConnection) -> None:
         """Pipeline completion hook: keep-alive sockets re-park."""
         self.reactor.park(client)
-
-    def _sample_queues(self) -> None:
-        self.pipeline.sample_queues()
-        self.stats.sample_parked(self.reactor.parked_count)
 
     def sampler_errors(self) -> int:
         """Exceptions swallowed (but counted) by the periodic tasks."""

@@ -84,15 +84,15 @@ class ConnectionReactor:
         before it is reaped.
     max_connections:
         Cap on concurrently parked connections; ``None`` = unbounded.
-    on_idle_reap / on_shed:
-        Optional metric callbacks (e.g. ``ServerStats.record_idle_reap``).
+
+    ``dispatched``, ``idle_reaped`` and ``sheds`` are the one ledger of
+    what the reactor did; ``ServerStats.connection_gauges`` reads them
+    through :meth:`gauges`.
     """
 
     def __init__(self, on_ready: Callable[[ClientConnection], None], *,
                  idle_timeout: float = DEFAULT_SOCKET_TIMEOUT,
                  max_connections: Optional[int] = None,
-                 on_idle_reap: Optional[Callable[[], None]] = None,
-                 on_shed: Optional[Callable[[], None]] = None,
                  name: str = "reactor"):
         if idle_timeout <= 0:
             raise ValueError(f"idle_timeout must be positive, got {idle_timeout}")
@@ -103,8 +103,6 @@ class ConnectionReactor:
         self._on_ready = on_ready
         self._idle_timeout = idle_timeout
         self._max_connections = max_connections
-        self._on_idle_reap = on_idle_reap
-        self._on_shed = on_shed
         self._epoll = select.epoll()
         # Guards the table, the counters and _closed; park() also reads
         # the stopping flag under it (see park).
@@ -230,11 +228,6 @@ class ConnectionReactor:
     def _shed(self, connection: ClientConnection, respond: bool) -> None:
         with self._lock:
             self.sheds += 1
-        if self._on_shed is not None:
-            try:
-                self._on_shed()
-            except Exception:  # metrics must never break shedding
-                pass
         if respond:
             connection.send_response(
                 HTTPResponse.error(503, "server overloaded"),
@@ -291,11 +284,6 @@ class ConnectionReactor:
             expired = [self._parked.pop(fd).connection for fd in expired]
             self.idle_reaped += len(expired)
         for connection in expired:
-            if self._on_idle_reap is not None:
-                try:
-                    self._on_idle_reap()
-                except Exception:  # metrics must never break reaping
-                    pass
             # Closing the socket also drops it from the epoll set.
             connection.close()
 

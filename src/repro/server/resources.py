@@ -160,7 +160,7 @@ class LeaseManager:
             # exhausted pool; the pipeline maps this to 503 +
             # Retry-After (or a degraded stale-cache response).
             if self.stats is not None:
-                self.stats.record_fast_fail(stage)
+                self.stats.record_resilience(stage, "breaker_fast_fail")
             raise CircuitOpenError(
                 retry_after=self.breaker.retry_after()
             )
@@ -191,7 +191,7 @@ class LeaseManager:
 
     def note_retry(self, stage: str) -> None:
         if self.stats is not None:
-            self.stats.record_retry(stage)
+            self.stats.record_resilience(stage, "retries")
 
     def backoff_sleep(self, seconds: float) -> None:
         if seconds > 0:

@@ -1,38 +1,79 @@
-"""Server-side metrics: completions, response times, queue samples.
+"""Server-side metrics: the one sink for live and simulated runs.
 
 Feeds the experiment harness with exactly what the paper reports:
 per-page completion counts (Table 4), per-page response-time averages
-(Table 3 is measured client-side; the server keeps its own view), and
-queue-length time series for each pool (Figures 7–8) — plus, beyond
-the paper, per-stage queue-wait/service-time breakdowns with
-percentiles, so the Figure 7/8 queue story is measurable per request
-(where did a request's latency go: header vs. general vs. render?).
+(Table 3), queue-length time series for each pool (Figures 7–8) and
+completions per minute (Figures 9–10) — plus, beyond the paper,
+per-stage queue-wait/service-time percentiles, connection busy
+fractions and resilience counters.
+
+Every number lives in one of four keyed stores under one lock:
+
+- counters, ``family -> {key: number}``: completions, errors, policy
+  outcomes, injected faults, breaker transitions and lease totals;
+- summaries, ``family -> {key: accumulator}``: response, generation,
+  stage queue-wait/service and lease acquire-wait times;
+- per-second completion counts, ``label -> {second: count}``;
+- 1 Hz samples, ``name -> TimeSeries``: ``queue/<pool>``, ``tspare``
+  and ``treserve``.
+
+Completions are counted per whole second of run time, not kept as one
+timestamp per request, so memory grows with the run's length and not
+with its request count.  Re-bucketing those counts is exact when the
+window edges and the bucket width are whole seconds, as they are for
+every caller (ramp-ups of 60 s and 300 s, 60 s buckets).
 
 Request classes are the :class:`repro.core.classifier.RequestClass`
-enum end-to-end.  Per-class completion series keep the labels the
-simulator and the figure-10 exports have always used: ``static``,
-``dynamic`` (all dynamic requests), and the refined ``quick`` /
-``lengthy`` — a dynamic completion is recorded under both ``dynamic``
-and its refined label, mirroring :mod:`repro.sim.results`.
+enum end-to-end.  Per-class completion counts keep the labels the
+figure-10 exports have always used: ``static``, ``dynamic`` (all
+dynamic requests), and the refined ``quick`` / ``lengthy`` — a dynamic
+completion counts under both ``dynamic`` and its refined label.
+
+The simulator drives the same class on its own clock
+(:class:`repro.sim.faults.SimClockAdapter`): it records each
+interaction (page count and client-side response time) only inside the
+paper's measurement window, and each request's class counts over the
+whole run (:meth:`ServerStats.record_interaction`,
+:meth:`ServerStats.record_request`).  A live response is both at once
+(:meth:`ServerStats.record_completion`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Union
+from collections import defaultdict
+from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 from repro.core.classifier import RequestClass
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.timeseries import SummaryAccumulator, TimeSeries, WelfordAccumulator
 
-#: Per-class event-series labels for each request class.  Dynamic
-#: classes record under "dynamic" *and* their refined label, exactly as
-#: the simulator records each dynamic completion twice (Figure 10 b–d).
-CLASS_SERIES_LABELS: Dict[RequestClass, tuple] = {
+#: Per-class completion labels for each request class.  Dynamic
+#: classes count under "dynamic" *and* their refined label (Figure 10
+#: b–d).
+CLASS_SERIES_LABELS: Dict[RequestClass, Tuple[str, ...]] = {
     RequestClass.STATIC: ("static",),
     RequestClass.QUICK_DYNAMIC: ("dynamic", "quick"),
     RequestClass.LENGTHY_DYNAMIC: ("dynamic", "lengthy"),
 }
+
+#: The per-stage policy outcomes :meth:`ServerStats.record_resilience`
+#: counts, in the order ``resilience_report()`` lists them.
+RESILIENCE_COUNTERS = (
+    "retries", "deadline_expired", "breaker_fast_fail",
+    "degraded_served", "late_completions", "worker_crashes",
+)
+
+#: What one live completion counts toward: the overall total and its
+#: class labels.
+_COMPLETION_LABELS = {
+    request_class: ("all",) + labels
+    for request_class, labels in CLASS_SERIES_LABELS.items()
+}
+
+
+def _add(table: Dict, key: Hashable, amount: float = 1) -> None:
+    table[key] = table.get(key, 0) + amount
 
 
 class ServerStats:
@@ -42,76 +83,85 @@ class ServerStats:
         self.clock = clock if clock is not None else MonotonicClock()
         self.started_at = self.clock.now()
         self._lock = threading.Lock()
-        self._completions: Dict[str, int] = {}
-        #: page -> {status -> count} for every response sent that was
-        #: not a 2xx/3xx (those are completions).
-        self._errors: Dict[str, Dict[int, int]] = {}
-        self._response_times: Dict[str, SummaryAccumulator] = {}
-        self._generation_times: Dict[str, WelfordAccumulator] = {}
-        self._stage_queue_waits: Dict[str, SummaryAccumulator] = {}
-        self._stage_services: Dict[str, SummaryAccumulator] = {}
-        self._completion_events = TimeSeries("completions")
-        self._class_events: Dict[str, TimeSeries] = {}
-        self.queue_series: Dict[str, TimeSeries] = {}
-        self.spare_series = TimeSeries("general-spare")
-        self.treserve_series = TimeSeries("treserve")
-        self.parked_series = TimeSeries("parked-connections")
-        self._connection_counters: Dict[str, int] = {
-            "idle_reaped": 0,
-            "sheds": 0,
-        }
-        # Per-stage connection-lease ledger: strategy label, lease
-        # count, held/busy second sums, acquire-wait percentiles.
-        self._lease_stats: Dict[str, Dict] = {}
-        # Resilience ledger: per-stage policy counters, injected-fault
-        # counts keyed "site:action", breaker state + transition tally.
-        self._resilience: Dict[str, Dict[str, int]] = {}
-        self._fault_counts: Dict[str, int] = {}
+        self._counters: Dict[str, Dict] = defaultdict(dict)
+        self._summaries: Dict[str, Dict[str, WelfordAccumulator]] = \
+            defaultdict(dict)
+        self._per_second: Dict[str, Dict[int, int]] = defaultdict(dict)
+        self._series: Dict[str, TimeSeries] = {}
+        self._lease_strategies: Dict[str, str] = {}
         self._breaker_state = "closed"
-        self._breaker_transitions: Dict[str, int] = {}
+        #: Source of :meth:`connection_gauges`: a server with a
+        #: :class:`~repro.server.reactor.ConnectionReactor` points it
+        #: at ``reactor.gauges``, the one ledger of parks and sheds.
+        self.reactor_gauges: Callable[[], Dict[str, int]] = dict
 
     # ------------------------------------------------------------------
-    # Every recording method computes its timestamp *inside* the lock:
-    # TimeSeries.append rejects out-of-order samples, so two threads
-    # that read the clock and then raced to append could otherwise
-    # blow up (and Welford updates outside the lock corrupted state).
+    # Store helpers; callers hold the lock
+    # ------------------------------------------------------------------
+    def _summary(self, family: str, key: str,
+                 kind=SummaryAccumulator) -> WelfordAccumulator:
+        table = self._summaries[family]
+        accumulator = table.get(key)
+        if accumulator is None:
+            accumulator = table[key] = kind(key)
+        return accumulator
+
+    def _interaction(self, page: str, response_seconds: float) -> None:
+        _add(self._counters["completions"], page)
+        self._summary("response", page).add(response_seconds)
+
+    def _requests(self, labels: Tuple[str, ...]) -> None:
+        second = int(self.clock.now() - self.started_at)
+        for label in labels:
+            _add(self._per_second[label], second)
+
+    def _sample(self, name: str, now: float, value: float) -> None:
+        # Timestamps are read under the lock: TimeSeries.append rejects
+        # out-of-order samples, which racing samplers could produce.
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = TimeSeries(name)
+        series.append(now, value)
+
+    # ------------------------------------------------------------------
+    # Completions
     # ------------------------------------------------------------------
     def record_completion(self, page: str, request_class: RequestClass,
                           response_seconds: float) -> None:
-        """One finished web interaction.  A ``request_class`` that is not
-        a :class:`RequestClass` raises ``KeyError`` and records nothing."""
-        labels = CLASS_SERIES_LABELS[request_class]
+        """One response sent with a 2xx/3xx status: an interaction and
+        a request at once.  A ``request_class`` that is not a
+        :class:`RequestClass` raises ``KeyError`` and records nothing."""
+        labels = _COMPLETION_LABELS[request_class]
         with self._lock:
-            now = self.clock.now() - self.started_at
-            self._completions[page] = self._completions.get(page, 0) + 1
-            accumulator = self._response_times.get(page)
-            if accumulator is None:
-                accumulator = SummaryAccumulator(page)
-                self._response_times[page] = accumulator
-            accumulator.add(response_seconds)
-            self._completion_events.append(now, 1.0)
-            for label in labels:
-                series = self._class_events.get(label)
-                if series is None:
-                    series = TimeSeries(f"completions/{label}")
-                    self._class_events[label] = series
-                series.append(now, 1.0)
+            self._interaction(page, response_seconds)
+            self._requests(labels)
+
+    def record_interaction(self, page: str, response_seconds: float) -> None:
+        """One completed web interaction, client-side view (TPC-W)."""
+        with self._lock:
+            self._interaction(page, response_seconds)
+
+    def record_request(self, label: str) -> None:
+        """One completed HTTP request under the class ``label``.
+
+        The simulator calls it once per label — ``static``, or
+        ``dynamic`` and then ``quick``/``lengthy`` — and each call also
+        counts toward the overall total, so the simulated Figure 9
+        counts a dynamic request twice, as it always has.
+        """
+        with self._lock:
+            self._requests(("all", label))
 
     def record_error(self, page: str, status: int) -> None:
         """One error response (any status outside 2xx/3xx) sent for
         ``page``; it is not a completion."""
         with self._lock:
-            by_status = self._errors.setdefault(page, {})
-            by_status[status] = by_status.get(status, 0) + 1
+            _add(self._counters["errors"], (page, status))
 
     def record_generation_time(self, page: str, seconds: float) -> None:
         """Data-generation time for a dynamic page (server-side view)."""
         with self._lock:
-            accumulator = self._generation_times.get(page)
-            if accumulator is None:
-                accumulator = WelfordAccumulator(page)
-                self._generation_times[page] = accumulator
-            accumulator.add(seconds)
+            self._summary("generation", page, WelfordAccumulator).add(seconds)
 
     def record_stage_timing(self, stage: str, queue_wait: float,
                             service: float) -> None:
@@ -123,58 +173,22 @@ class ServerStats:
         sampled once a second.
         """
         with self._lock:
-            waits = self._stage_queue_waits.get(stage)
-            if waits is None:
-                waits = SummaryAccumulator(f"{stage}/queue-wait")
-                self._stage_queue_waits[stage] = waits
-            services = self._stage_services.get(stage)
-            if services is None:
-                services = SummaryAccumulator(f"{stage}/service")
-                self._stage_services[stage] = services
-            waits.add(queue_wait)
-            services.add(service)
+            self._summary("queue_wait", stage).add(queue_wait)
+            self._summary("service", stage).add(service)
 
+    # ------------------------------------------------------------------
+    # 1 Hz samples
+    # ------------------------------------------------------------------
     def sample_queue(self, pool_name: str, length: int) -> None:
         with self._lock:
             now = self.clock.now() - self.started_at
-            series = self.queue_series.get(pool_name)
-            if series is None:
-                series = TimeSeries(f"queue/{pool_name}")
-                self.queue_series[pool_name] = series
-            series.append(now, length)
+            self._sample(f"queue/{pool_name}", now, length)
 
     def sample_reserve(self, tspare: int, treserve: int) -> None:
         with self._lock:
             now = self.clock.now() - self.started_at
-            self.spare_series.append(now, tspare)
-            self.treserve_series.append(now, treserve)
-
-    # ------------------------------------------------------------------
-    # Connection-reactor gauges
-    # ------------------------------------------------------------------
-    def sample_parked(self, count: int) -> None:
-        """Periodic sample of connections parked in the reactor."""
-        with self._lock:
-            now = self.clock.now() - self.started_at
-            self.parked_series.append(now, count)
-
-    def record_idle_reap(self) -> None:
-        """The reactor closed a connection idle past its timeout."""
-        with self._lock:
-            self._connection_counters["idle_reaped"] += 1
-
-    def record_shed(self) -> None:
-        """The reactor shed a connection (cap reached or pool full)."""
-        with self._lock:
-            self._connection_counters["sheds"] += 1
-
-    def connection_gauges(self) -> Dict[str, int]:
-        """Current reactor view: parked connections, reaps, sheds."""
-        with self._lock:
-            gauges = dict(self._connection_counters)
-        values = self.parked_series.values
-        gauges["parked"] = int(values[-1]) if values else 0
-        return gauges
+            self._sample("tspare", now, tspare)
+            self._sample("treserve", now, treserve)
 
     # ------------------------------------------------------------------
     # Connection leases (fed by repro.server.resources.LeaseManager)
@@ -190,21 +204,94 @@ class ServerStats:
         report can show *which* stage's ownership wastes connections.
         """
         with self._lock:
-            entry = self._lease_stats.get(stage)
-            if entry is None:
-                entry = {
-                    "strategy": strategy,
-                    "leases": 0,
-                    "held_seconds": 0.0,
-                    "busy_seconds": 0.0,
-                    "waits": SummaryAccumulator(f"{stage}/acquire-wait"),
-                }
-                self._lease_stats[stage] = entry
-            entry["strategy"] = strategy
-            entry["leases"] += 1
-            entry["held_seconds"] += held_seconds
-            entry["busy_seconds"] += busy_seconds
-            entry["waits"].add(wait_seconds)
+            self._lease_strategies[stage] = strategy
+            _add(self._counters["leases"], stage)
+            _add(self._counters["held_seconds"], stage, float(held_seconds))
+            _add(self._counters["busy_seconds"], stage, float(busy_seconds))
+            self._summary("acquire_wait", stage).add(wait_seconds)
+
+    # ------------------------------------------------------------------
+    # Resilience: fault injection + policy outcomes
+    # (fed by FaultPlan.on_inject, the pipeline, and the LeaseManager)
+    # ------------------------------------------------------------------
+    def record_resilience(self, stage: str, counter: str) -> None:
+        """One policy outcome on ``stage``; ``counter`` is one of
+        :data:`RESILIENCE_COUNTERS` (a transient-DB retry, a 504 past
+        the deadline, a breaker fast-fail, a stale copy served, a
+        suppressed late completion, a worker crash)."""
+        if counter not in RESILIENCE_COUNTERS:
+            raise ValueError(f"unknown resilience counter {counter!r}")
+        with self._lock:
+            _add(self._counters["resilience"], (stage or "?", counter))
+
+    def record_fault(self, site: str, action: str) -> None:
+        """One injected fault (wired to ``FaultPlan.on_inject``)."""
+        with self._lock:
+            _add(self._counters["faults"], f"{site}:{action}")
+
+    def record_breaker_transition(self, state: str) -> None:
+        """The circuit breaker entered ``state``."""
+        with self._lock:
+            self._breaker_state = state
+            _add(self._counters["transitions"], state)
+
+    # ------------------------------------------------------------------
+    # Views
+    # ------------------------------------------------------------------
+    def completions(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counters["completions"])
+
+    def total_completions(self) -> int:
+        with self._lock:
+            return sum(self._counters["completions"].values())
+
+    def errors(self) -> Dict[str, Dict[str, int]]:
+        """Error responses per page and status, e.g. ``{"/home":
+        {"500": 2}}`` (string statuses, as JSON stores them)."""
+        with self._lock:
+            counts = sorted(self._counters["errors"].items())
+        report: Dict[str, Dict[str, int]] = {}
+        for (page, status), count in counts:
+            report.setdefault(page, {})[str(status)] = count
+        return report
+
+    def _summaries_of(self, family: str) -> Dict[str, WelfordAccumulator]:
+        # Callers hold the lock; the accumulators lock themselves.
+        return {key: acc for key, acc in self._summaries[family].items()
+                if acc.count}
+
+    def mean_response_times(self) -> Dict[str, float]:
+        with self._lock:
+            responses = self._summaries_of("response")
+        return {page: acc.mean for page, acc in responses.items()}
+
+    def response_time_summary(self) -> Dict[str, Dict[str, float]]:
+        """Per-page response-time summaries: count/mean/p50/p95/p99/max."""
+        with self._lock:
+            responses = self._summaries_of("response")
+        return {page: acc.summary() for page, acc in responses.items()}
+
+    def mean_generation_times(self) -> Dict[str, float]:
+        with self._lock:
+            generations = self._summaries_of("generation")
+        return {page: acc.mean for page, acc in generations.items()}
+
+    def stage_timing_summary(self) -> Dict[str, Dict[str, Dict[str, float]]]:
+        """Per-stage queue-wait and service-time percentile summaries.
+
+        ``{stage: {"queue_wait": {count, mean, p50, p95, p99, max},
+        "service": {...}}}`` — the per-request answer to "where did the
+        latency go" (header vs. general vs. render).
+        """
+        with self._lock:
+            waits = self._summaries_of("queue_wait")
+            services = self._summaries_of("service")
+        return {
+            stage: {"queue_wait": wait.summary(),
+                    "service": services[stage].summary()}
+            for stage, wait in waits.items()
+        }
 
     def connection_utilization(self) -> Dict[str, Dict]:
         """Per-stage busy-fraction snapshot.
@@ -215,81 +302,23 @@ class ServerStats:
         after ``server.stop()`` for complete held-time accounting.
         """
         with self._lock:
-            entries = {
-                stage: dict(entry) for stage, entry in self._lease_stats.items()
+            waits = self._summaries_of("acquire_wait")
+            strategies = dict(self._lease_strategies)
+            leases = dict(self._counters["leases"])
+            held = dict(self._counters["held_seconds"])
+            busy = dict(self._counters["busy_seconds"])
+        return {
+            stage: {
+                "strategy": strategy,
+                "leases": leases[stage],
+                "held_seconds": held[stage],
+                "busy_seconds": busy[stage],
+                "busy_fraction": (busy[stage] / held[stage]
+                                  if held[stage] > 0 else 0.0),
+                "acquire_wait": waits[stage].summary(),
             }
-        report: Dict[str, Dict] = {}
-        for stage, entry in entries.items():
-            held = entry["held_seconds"]
-            busy = entry["busy_seconds"]
-            report[stage] = {
-                "strategy": entry["strategy"],
-                "leases": entry["leases"],
-                "held_seconds": held,
-                "busy_seconds": busy,
-                "busy_fraction": (busy / held) if held > 0 else 0.0,
-                "acquire_wait": entry["waits"].summary(),
-            }
-        return report
-
-    # ------------------------------------------------------------------
-    # Resilience: fault injection + policy outcomes
-    # (fed by FaultPlan.on_inject, the pipeline, and the LeaseManager)
-    # ------------------------------------------------------------------
-    _RESILIENCE_COUNTERS = (
-        "retries", "deadline_expired", "breaker_fast_fail",
-        "degraded_served", "late_completions", "worker_crashes",
-    )
-
-    def _resilience_entry(self, stage: str) -> Dict[str, int]:
-        entry = self._resilience.get(stage)
-        if entry is None:
-            entry = {name: 0 for name in self._RESILIENCE_COUNTERS}
-            self._resilience[stage] = entry
-        return entry
-
-    def _bump(self, stage: str, counter: str) -> None:
-        with self._lock:
-            self._resilience_entry(stage or "?")[counter] += 1
-
-    def record_retry(self, stage: str) -> None:
-        """One transient-DB retry issued on ``stage``."""
-        self._bump(stage, "retries")
-
-    def record_deadline_expired(self, stage: str) -> None:
-        """A request failed 504 at ``stage``: past its deadline."""
-        self._bump(stage, "deadline_expired")
-
-    def record_fast_fail(self, stage: str) -> None:
-        """The open circuit breaker fast-failed an acquire on ``stage``."""
-        self._bump(stage, "breaker_fast_fail")
-
-    def record_degraded(self, stage: str) -> None:
-        """A stale fragment-cache copy was served while the breaker
-        was open."""
-        self._bump(stage, "degraded_served")
-
-    def record_late_completion(self, stage: str) -> None:
-        """A completion/failure arrived for an already-finished job
-        (e.g. a worker crash after routing) and was suppressed."""
-        self._bump(stage, "late_completions")
-
-    def record_worker_crash(self, stage: str) -> None:
-        """A pool worker crashed outside its stage handler."""
-        self._bump(stage, "worker_crashes")
-
-    def record_fault(self, site: str, action: str) -> None:
-        """One injected fault (wired to ``FaultPlan.on_inject``)."""
-        with self._lock:
-            label = f"{site}:{action}"
-            self._fault_counts[label] = self._fault_counts.get(label, 0) + 1
-
-    def record_breaker_transition(self, state: str) -> None:
-        """The circuit breaker entered ``state``."""
-        with self._lock:
-            self._breaker_state = state
-            self._breaker_transitions[state] = \
-                self._breaker_transitions.get(state, 0) + 1
+            for stage, strategy in strategies.items()
+        }
 
     def resilience_report(self) -> Dict:
         """Snapshot of fault injections and policy outcomes.
@@ -298,101 +327,63 @@ class ServerStats:
         breaker_fast_fail, degraded_served, late_completions,
         worker_crashes}}, "faults_injected": {"site:action": n},
         "breaker": {"state": ..., "transitions": {...}}}`` — keyed
-        identically by the live servers and the sim mirror.
+        identically by the live servers and the simulator.
         """
         with self._lock:
-            return {
-                "stages": {
-                    stage: dict(entry)
-                    for stage, entry in sorted(self._resilience.items())
-                },
-                "faults_injected": dict(sorted(self._fault_counts.items())),
-                "breaker": {
-                    "state": self._breaker_state,
-                    "transitions": dict(
-                        sorted(self._breaker_transitions.items())
-                    ),
-                },
-            }
-
-    # ------------------------------------------------------------------
-    def completions(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._completions)
-
-    def total_completions(self) -> int:
-        with self._lock:
-            return sum(self._completions.values())
-
-    def errors(self) -> Dict[str, Dict[str, int]]:
-        """Error responses per page and status, e.g. ``{"/home":
-        {"500": 2}}`` (string statuses, as JSON stores them)."""
-        with self._lock:
-            return {
-                page: {str(status): count
-                       for status, count in sorted(by_status.items())}
-                for page, by_status in sorted(self._errors.items())
-            }
-
-    def mean_response_times(self) -> Dict[str, float]:
-        with self._lock:
-            accumulators = dict(self._response_times)
+            outcomes = dict(self._counters["resilience"])
+            faults = dict(sorted(self._counters["faults"].items()))
+            state = self._breaker_state
+            transitions = dict(sorted(self._counters["transitions"].items()))
+        stages: Dict[str, Dict[str, int]] = {}
+        for (stage, counter), count in outcomes.items():
+            stages.setdefault(
+                stage, dict.fromkeys(RESILIENCE_COUNTERS, 0))[counter] = count
         return {
-            page: acc.mean for page, acc in accumulators.items() if acc.count
+            "stages": dict(sorted(stages.items())),
+            "faults_injected": faults,
+            "breaker": {"state": state, "transitions": transitions},
         }
 
-    def response_time_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-page response-time summaries: count/mean/p50/p95/p99/max."""
+    def connection_gauges(self) -> Dict[str, int]:
+        """Reactor view: parked connections now, idle reaps and sheds
+        so far — zeros until a reactor is attached."""
+        gauges = self.reactor_gauges()
+        return {key: gauges.get(key, 0)
+                for key in ("idle_reaped", "sheds", "parked")}
+
+    def series(self, name: str) -> TimeSeries:
+        """One 1 Hz sampled series (``queue/<pool>``, ``tspare``,
+        ``treserve``); empty if never sampled."""
         with self._lock:
-            accumulators = dict(self._response_times)
-        return {
-            page: acc.summary()
-            for page, acc in accumulators.items() if acc.count
-        }
+            series = self._series.get(name)
+        return series if series is not None else TimeSeries(name)
 
-    def mean_generation_times(self) -> Dict[str, float]:
+    def queue_series(self) -> Dict[str, TimeSeries]:
+        """Pool name -> its sampled queue lengths (Figures 7–8)."""
         with self._lock:
-            accumulators = dict(self._generation_times)
-        return {
-            page: acc.mean for page, acc in accumulators.items() if acc.count
-        }
+            return {name[len("queue/"):]: series
+                    for name, series in self._series.items()
+                    if name.startswith("queue/")}
 
-    def stage_timing_summary(self) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """Per-stage queue-wait and service-time percentile summaries.
+    def throughput_series(self, bucket_seconds: float = 60.0,
+                          request_class: Union[RequestClass, str, None] = None,
+                          start: float = 0.0,
+                          end: Optional[float] = None) -> TimeSeries:
+        """Completions per bucket over ``[start, end)``: all requests
+        (Figure 9), or one class (Figure 10).
 
-        ``{stage: {"queue_wait": {count, mean, p50, p95, p99, max},
-        "service": {...}}}`` — the per-request answer to "where did the
-        latency go" (header vs. general vs. render).
-        """
-        with self._lock:
-            waits = dict(self._stage_queue_waits)
-            services = dict(self._stage_services)
-        return {
-            stage: {
-                "queue_wait": waits[stage].summary(),
-                "service": services[stage].summary(),
-            }
-            for stage in waits
-        }
-
-    def throughput_series(self, bucket_seconds: float = 60.0) -> TimeSeries:
-        """Completions per bucket over the run (paper's Figure 9 shape)."""
-        return self._completion_events.bucketize(bucket_seconds)
-
-    def class_throughput_series(self, request_class: Union[RequestClass, str],
-                                bucket_seconds: float = 60.0) -> TimeSeries:
-        """Per-class completions per bucket (Figure 10).
-
-        Accepts either a series label (``"static"``, ``"dynamic"``,
+        ``request_class`` is a label (``"static"``, ``"dynamic"``,
         ``"quick"``, ``"lengthy"``) or a :class:`RequestClass`, which
-        resolves to its refined label.
+        resolves to its refined label.  The default ``end`` includes
+        the last second that saw a completion.
         """
         if isinstance(request_class, RequestClass):
             label = CLASS_SERIES_LABELS[request_class][-1]
         else:
-            label = request_class
+            label = request_class or "all"
         with self._lock:
-            series = self._class_events.get(label)
-        if series is None:
-            return TimeSeries(f"completions/{label}")
-        return series.bucketize(bucket_seconds)
+            counts = sorted(self._per_second.get(label, {}).items())
+        per_second = TimeSeries(f"completions/{label}")
+        for second, count in counts:
+            per_second.append(second, count)
+        return per_second.bucketize(bucket_seconds, start, end)

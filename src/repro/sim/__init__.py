@@ -20,7 +20,10 @@ reproducible in seconds:
   resilience policies, re-expressed on simulated time.
 - :mod:`repro.sim.workload` — per-page service-demand profiles and the
   closed-loop emulated browsers.
-- :mod:`repro.sim.results` — metric collection for Section 4.
+
+Metrics land in the simulated server's ``stats``, the same
+:class:`repro.server.stats.ServerStats` the live servers keep, driven
+by the sim clock.
 """
 
 from repro.sim.kernel import Simulation, SimEvent
@@ -31,7 +34,6 @@ from repro.sim.resources import (
     SimLockTable,
     SimThreadPool,
 )
-from repro.sim.results import SimResults
 from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
@@ -48,7 +50,6 @@ __all__ = [
     "SimLease",
     "SimLockTable",
     "SimThreadPool",
-    "SimResults",
     "SimServer",
     "DEFAULT_PROFILES",
     "PageProfile",

@@ -31,9 +31,10 @@ deterministic-jitter backoff schedule as the live
 :class:`~repro.server.resources.LeaseManager` (the sim models the
 per-query lease strategy, the only one the live retry applies to), and
 a :class:`~repro.faults.policies.CircuitBreaker` guarding the
-connection pool.  Counters land in a :class:`ServerStats` driven by
-the sim clock, so ``stats.resilience_report()`` exports key-for-key
-with the live document.
+connection pool.  Counters land in the simulated server's
+:class:`ServerStats`, driven by the sim clock, so
+``stats.resilience_report()`` exports key-for-key with the live
+document.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def sim_fault_plan(sim: Simulation, rules: Iterable[FaultRule],
 
 
 class SimFaultHarness:
-    """One per simulated server: the plan, the policies, the counters.
+    """One per simulated server: the plan and the policies, counting
+    into the server's stats.
 
     :class:`repro.sim.server.SimServer` calls the gate methods at the
     same points — and in the same order — as the live request path
@@ -99,24 +101,21 @@ class SimFaultHarness:
     acquire, per-query, render, socket write.
     """
 
-    def __init__(self, sim: Simulation, plan: FaultPlan,
+    def __init__(self, sim: Simulation, plan: FaultPlan, stats: ServerStats,
                  resilience: Optional[ResilienceConfig] = None):
         self.sim = sim
         self.plan = plan
         if resilience is None:
             resilience = ResilienceConfig()
         self.resilience = resilience
-        clock = SimClockAdapter(sim)
-        #: Same counter surface as the live servers' ``server.stats``,
-        #: driven by sim time — ``resilience_report()`` exports
-        #: key-for-key against the live document.
-        self.stats = ServerStats(clock)
+        #: The simulated server's sink, on the sim clock.
+        self.stats = stats
         if plan.on_inject is None:
-            plan.on_inject = self.stats.record_fault
+            plan.on_inject = stats.record_fault
         self.breaker: Optional[CircuitBreaker] = None
         if resilience.breaker is not None:
             self.breaker = CircuitBreaker(
-                resilience.breaker, clock=clock,
+                resilience.breaker, clock=stats.clock,
                 on_transition=self.stats.record_breaker_transition,
             )
         # Same stream name as the live LeaseManager: identical seeds
@@ -131,7 +130,7 @@ class SimFaultHarness:
         exceeds the stage deadline fails 504 before service begins."""
         deadline = self.resilience.deadline_for(stage)
         if deadline is not None and self.sim.now - arrival > deadline:
-            self.stats.record_deadline_expired(stage)
+            self.stats.record_resilience(stage, "deadline_expired")
             raise SimRequestFailed(504, "request deadline expired")
 
     def retry_delays(self) -> List[float]:
@@ -152,7 +151,7 @@ class SimFaultHarness:
         elif decision.action is FaultAction.CRASH:
             # Live: WorkerCrashError → _on_worker_error → 500 while the
             # stage still owns the job.
-            self.stats.record_worker_crash(stage)
+            self.stats.record_resilience(stage, "worker_crashes")
             raise SimRequestFailed(500, "worker crashed (injected)")
 
     def on_client_read(self, page: str, stage: str) -> None:
@@ -170,7 +169,7 @@ class SimFaultHarness:
     def on_client_write(self, page: str, stage: str) -> bool:
         """``socket.write``: False when transmission failed (drop or
         short write), in which case the live pipeline records no
-        completion — the caller must skip its results recording."""
+        completion — the caller must skip its stats recording."""
         decision = self.plan.decide(SITE_SOCKET_WRITE, page_key=page,
                                     stage=stage)
         return decision is None
@@ -183,7 +182,7 @@ class SimFaultHarness:
         breaker; a successful acquire resets it.
         """
         if self.breaker is not None and not self.breaker.allow():
-            self.stats.record_fast_fail(stage)
+            self.stats.record_resilience(stage, "breaker_fast_fail")
             raise SimRequestFailed(503, "database circuit breaker open")
         decision = self.plan.decide(SITE_POOL_ACQUIRE, page_key=page,
                                     stage=stage)
@@ -222,7 +221,7 @@ class SimFaultHarness:
                 if attempt >= len(delays):
                     raise SimRequestFailed(500,
                                            "transient database failure")
-                self.stats.record_retry(stage)
+                self.stats.record_resilience(stage, "retries")
                 yield delays[attempt]
                 attempt += 1
                 continue

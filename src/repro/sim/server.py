@@ -25,7 +25,13 @@ from repro.core.dispatch import Dispatcher, DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.policies import ResilienceConfig
-from repro.sim.faults import SimFaultHarness, SimRequestFailed, sim_fault_plan
+from repro.server.stats import ServerStats
+from repro.sim.faults import (
+    SimClockAdapter,
+    SimFaultHarness,
+    SimRequestFailed,
+    sim_fault_plan,
+)
 from repro.sim.kernel import SimEvent, Simulation
 from repro.sim.resources import (
     PSServer,
@@ -33,7 +39,6 @@ from repro.sim.resources import (
     SimLockTable,
     SimThreadPool,
 )
-from repro.sim.results import SimResults
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     PageProfile,
@@ -64,14 +69,14 @@ class SimServer:
     comparison).
     """
 
-    def __init__(self, sim: Simulation, config: WorkloadConfig,
-                 results: SimResults, kind: str,
+    def __init__(self, sim: Simulation, config: WorkloadConfig, kind: str,
                  dispatcher: Optional[Dispatcher] = None):
         if kind not in TOPOLOGIES:
             raise ValueError(f"unknown server kind {kind!r}")
         self.sim = sim
         self.config = config
-        self.results = results
+        #: The run's one metric sink, on simulated time.
+        self.stats = ServerStats(SimClockAdapter(sim))
         self.db = PSServer(sim, "database", cores=config.db_cores)
         self.web = PSServer(sim, "webserver", cores=config.web_cores)
         self.locks = SimLockTable(sim)
@@ -93,15 +98,16 @@ class SimServer:
         )
         #: Fault-injection mirror; an empty plan injects nothing and
         #: draws no randomness.  Replaced by :meth:`configure_faults`.
-        self.fault_harness = SimFaultHarness(sim, sim_fault_plan(sim, ()))
+        self.fault_harness = SimFaultHarness(sim, sim_fault_plan(sim, ()),
+                                             self.stats)
         self._last_tick = 0.0
         #: name -> (pool, step); filled in by the topology builder.
         self.stages: Dict[str, Tuple[SimThreadPool, Callable]] = {}
         self.entry = ""
         #: Waiter priority on every pool (lowest first); FIFO is 0.
         self._priority: Callable[[_Request], float] = lambda request: 0.0
-        self._sample_queues: Callable[[SimResults], None] = \
-            self._sample_stage_queues
+        #: The 1 Hz sample, driven by the workload's sampler process.
+        self.sample: Callable[[], None] = self._sample_stage_queues
         TOPOLOGIES[kind](self)
 
     # ------------------------------------------------------------------
@@ -119,7 +125,7 @@ class SimServer:
         self.connections = SimConnectionPool(self.sim,
                                              self.config.baseline_workers)
         self._add_stage("worker", self.config.baseline_workers, self._worker)
-        self._sample_queues = self._sample_worker_queue
+        self.sample = self._sample_worker_queue
 
     def _build_sjf(self) -> None:
         self._build_thread_per_request()
@@ -164,7 +170,8 @@ class SimServer:
         The plan should be built with :func:`repro.sim.faults.
         sim_fault_plan` so its schedule windows read the sim clock.
         """
-        self.fault_harness = SimFaultHarness(self.sim, plan, resilience)
+        self.fault_harness = SimFaultHarness(self.sim, plan, self.stats,
+                                             resilience)
         return self.fault_harness
 
     def submit_page(self, profile: PageProfile, jitter: float) -> SimEvent:
@@ -206,15 +213,13 @@ class SimServer:
             # The live side sent an error response (or nothing, for a
             # dropped client); either way no completion is recorded.
             if failure.status is not None:
-                harness.stats.record_error(request.page or "?",
-                                           failure.status)
+                self.stats.record_error(request.page or "?", failure.status)
             return
         if not harness.on_client_write(request.page, last_stage):
             return
-        self.results.record_request(self.sim.now, request.kind)
+        self.stats.record_request(request.kind)
         if request.profile is not None:
-            self.results.record_request(self.sim.now,
-                                        _report_class(request.page))
+            self.stats.record_request(_report_class(request.page))
 
     # ------------------------------------------------------------------
     # Steps: generators returning the next stage; falling off the end
@@ -277,8 +282,8 @@ class SimServer:
             yield from self._db_phase(request, lease, stage)
             seconds = self.sim.now - started
             self.policy.record_generation_time(profile.path, seconds)
-            self.results.record_generation(self.sim.now, profile.path,
-                                           seconds)
+            if self.config.measuring(self.sim.now):
+                self.stats.record_generation_time(profile.path, seconds)
             if render_here:
                 yield from self._render(request, stage)
         finally:
@@ -319,18 +324,13 @@ class SimServer:
     # ------------------------------------------------------------------
     # 1 Hz sampling
     # ------------------------------------------------------------------
-    def sample(self, results: SimResults) -> None:
-        self._sample_queues(results)
-        results.sample_db(self.sim.now, self.db.active_jobs)
-
-    def _sample_worker_queue(self, results: SimResults) -> None:
+    def _sample_worker_queue(self) -> None:
         pool, _ = self.stages["worker"]
         # Figure 7 plots queued *dynamic* requests on the single queue.
-        results.sample_queue(self.sim.now, "dynamic",
-                             pool.queued_with_tag("dynamic"))
-        results.sample_queue(self.sim.now, "all", pool.queue_length)
+        self.stats.sample_queue("dynamic", pool.queued_with_tag("dynamic"))
+        self.stats.sample_queue("all", pool.queue_length)
 
-    def _sample_stage_queues(self, results: SimResults) -> None:
+    def _sample_stage_queues(self) -> None:
         now = self.sim.now
         tspare = self.stages["general"][0].spare
         # The once-per-second treserve update (§3.3) rides the sampler,
@@ -338,9 +338,9 @@ class SimServer:
         if now - self._last_tick >= self.policy.config.reserve_update_interval - 1e-9:
             self.policy.tick(tspare)
             self._last_tick = now
-        results.sample_reserve(now, tspare, self.policy.treserve)
+        self.stats.sample_reserve(tspare, self.policy.treserve)
         for name, (pool, _) in self.stages.items():
-            results.sample_queue(now, name, pool.queue_length)
+            self.stats.sample_queue(name, pool.queue_length)
 
 
 #: Server kind -> the builder that fills in its stage table.

@@ -20,7 +20,6 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.sim.kernel import Simulation
-from repro.sim.results import SimResults
 from repro.tpcw.mix import BROWSING_MIX, BrowsingMix
 from repro.util.rng import RandomStream
 
@@ -177,6 +176,12 @@ class WorkloadConfig:
     def duration(self) -> float:
         return self.ramp_up + self.measure + self.cool_down
 
+    def measuring(self, now: float) -> bool:
+        """Whether ``now`` is inside the paper's measurement window:
+        "the first five-minute ramp up time and the last five-minute
+        cool down time are not included"."""
+        return self.ramp_up <= now < self.ramp_up + self.measure
+
     @classmethod
     def paper(cls, **overrides) -> "WorkloadConfig":
         """The full paper-scale run (400 EBs, 50 min measured)."""
@@ -217,21 +222,26 @@ def run_tpcw_simulation(server_kind: str,
                         dispatcher=None,
                         fault_rules=None,
                         fault_seed: int = 0,
-                        resilience=None) -> SimResults:
+                        resilience=None):
     """Run one complete simulated TPC-W experiment.
 
     ``server_kind`` names the topology (see
     :data:`repro.sim.server.TOPOLOGIES`): ``"baseline"``
     (thread-per-request), ``"staged"`` (the paper's five-pool design),
-    ``"staged-render-inline"`` or ``"sjf"``.  Returns the
-    :class:`SimResults` with everything the harness needs.
+    ``"staged-render-inline"`` or ``"sjf"``.  Returns the finished
+    :class:`repro.sim.server.SimServer`; its ``stats`` — a
+    :class:`repro.server.stats.ServerStats` on simulated time, like a
+    live server's — hold everything the harness needs.  Interactions
+    and generation times count only inside the measurement window
+    (:meth:`WorkloadConfig.measuring`); request counts and 1 Hz samples
+    span the whole run.
 
     ``fault_rules`` (a sequence of :class:`repro.faults.plan.FaultRule`)
     turns the run into a chaos experiment: the rules are evaluated on
     simulated time at the same injection points the live servers
     expose, with ``resilience`` (a :class:`ResilienceConfig`) governing
-    deadlines, retry, and the circuit breaker.  The results object then
-    carries ``fault_report`` and ``resilience_report`` attributes.
+    deadlines, retry, and the circuit breaker.  The plan's report is
+    then ``server.fault_harness.plan.fault_report()``.
     """
     from repro.sim.server import SimServer
 
@@ -244,12 +254,7 @@ def run_tpcw_simulation(server_kind: str,
         raise ValueError(f"profiles missing for pages: {sorted(missing)}")
 
     sim = Simulation()
-    results = SimResults(
-        measure_start=config.ramp_up,
-        measure_end=config.ramp_up + config.measure,
-    )
-    server = SimServer(sim, config, results, kind=server_kind,
-                       dispatcher=dispatcher)
+    server = SimServer(sim, config, kind=server_kind, dispatcher=dispatcher)
     if fault_rules is not None:
         from repro.sim.faults import sim_fault_plan
 
@@ -262,24 +267,16 @@ def run_tpcw_simulation(server_kind: str,
             rng, customers=config.customers, items=config.items,
             weights=config.mix_weights,
         )
-        sim.spawn(_browser(sim, server, mix, profiles, results, config, rng))
-    sim.spawn(_sampler(sim, server, results, config))
+        sim.spawn(_browser(sim, server, mix, profiles, config, rng))
+    sim.spawn(_sampler(sim, server, config))
 
     sim.run(until=config.duration)
-    # In-flight leases at cut-off are simply not counted (same rule as
-    # the live report: completed checkouts only).
-    results.connection_report = server.connections.utilization_report()
-    if fault_rules is not None:
-        harness = server.fault_harness
-        results.fault_report = harness.plan.fault_report()
-        results.resilience_report = harness.stats.resilience_report()
-        results.errors = harness.stats.errors()
-    return results
+    return server
 
 
 def _browser(sim: Simulation, server, mix: BrowsingMix,
-             profiles: Dict[str, PageProfile], results: SimResults,
-             config: WorkloadConfig, rng: RandomStream):
+             profiles: Dict[str, PageProfile], config: WorkloadConfig,
+             rng: RandomStream):
     """One emulated browser: page, embedded images, think, repeat."""
     # Staggered arrival over the ramp-up window.
     yield rng.uniform(0.0, max(config.ramp_up, 1.0) * 0.9)
@@ -291,13 +288,13 @@ def _browser(sim: Simulation, server, mix: BrowsingMix,
         yield server.submit_page(profile, jitter)
         for _ in range(profile.images):
             yield server.submit_static(STATIC_DEMAND)
-        results.record_interaction(sim.now, path, sim.now - started)
+        if config.measuring(sim.now):
+            server.stats.record_interaction(path, sim.now - started)
         yield rng.think_time(*config.think_range)
 
 
-def _sampler(sim: Simulation, server, results: SimResults,
-             config: WorkloadConfig):
-    """1 Hz sampling of queues, tspare/treserve, and DB occupancy."""
+def _sampler(sim: Simulation, server, config: WorkloadConfig):
+    """1 Hz sampling of queues and tspare/treserve."""
     while sim.now < config.duration:
         yield config.sample_interval
-        server.sample(results)
+        server.sample()

@@ -7,7 +7,6 @@ and figures.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -66,18 +65,6 @@ class TimeSeries:
                 raise ValueError(f"time series {self.name!r} is empty")
             return sum(self._values) / len(self._values)
 
-    def window_mean(self, start: float, end: float) -> float:
-        """Mean of samples with start <= t < end."""
-        with self._lock:
-            lo = bisect.bisect_left(self._times, start)
-            hi = bisect.bisect_left(self._times, end)
-            window = self._values[lo:hi]
-        if not window:
-            raise ValueError(
-                f"time series {self.name!r}: no samples in [{start}, {end})"
-            )
-        return sum(window) / len(window)
-
     def bucketize(self, bucket_width: float, start: float = 0.0,
                   end: Optional[float] = None) -> "TimeSeries":
         """Sum event values into fixed-width buckets.
@@ -109,25 +96,19 @@ class TimeSeries:
 
 
 class WelfordAccumulator:
-    """Numerically stable running mean/variance (Welford's algorithm)."""
+    """Numerically stable running mean (Welford's update) and maximum."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self._n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
         self._max = -math.inf
         self._lock = threading.Lock()
 
     def add(self, x: float) -> None:
         with self._lock:
             self._n += 1
-            delta = x - self._mean
-            self._mean += delta / self._n
-            self._m2 += delta * (x - self._mean)
-            if x < self._min:
-                self._min = x
+            self._mean += (x - self._mean) / self._n
             if x > self._max:
                 self._max = x
 
@@ -147,31 +128,6 @@ class WelfordAccumulator:
                 raise ValueError(f"accumulator {self.name!r} is empty")
             return self._mean
 
-    @property
-    def variance(self) -> float:
-        with self._lock:
-            if self._n < 2:
-                return 0.0
-            return self._m2 / (self._n - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        with self._lock:
-            if self._n == 0:
-                raise ValueError(f"accumulator {self.name!r} is empty")
-            return self._min
-
-    @property
-    def maximum(self) -> float:
-        with self._lock:
-            if self._n == 0:
-                raise ValueError(f"accumulator {self.name!r} is empty")
-            return self._max
-
 
 class SummaryAccumulator(WelfordAccumulator):
     """Welford statistics plus exact-ish percentiles.
@@ -180,7 +136,7 @@ class SummaryAccumulator(WelfordAccumulator):
     bounded: past ``max_samples`` the retained set is decimated (every
     other sample dropped) and the retention stride doubles, so a
     long-running server keeps an evenly spaced subsample while
-    ``count``/``mean``/``variance`` remain exact.  Decimation is
+    ``count``/``mean``/``max`` remain exact.  Decimation is
     deterministic — no RNG — so runs stay bit-reproducible.
     """
 
@@ -206,17 +162,6 @@ class SummaryAccumulator(WelfordAccumulator):
                 if len(self._samples) > self._max_samples:
                     self._samples = self._samples[::2]
                     self._stride *= 2
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank p-th percentile over the retained samples."""
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            if not self._samples:
-                raise ValueError(f"accumulator {self.name!r} is empty")
-            ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
 
     def summary(self) -> Dict[str, float]:
         """count/mean/p50/p95/p99/max as one JSON-friendly dict."""

@@ -5,11 +5,19 @@ answer with an error status lands in the per-page, per-status error
 counter, and the totals line up with the policy counters that caused
 them."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.harness.chaos import format_chaos_report, run_chaos
 
 pytestmark = pytest.mark.chaos
+
+#: ``run_chaos()`` at its defaults (quick preset, fault seed 7): the
+#: whole chaos document, pinned byte for byte.
+GOLDEN_CHAOS = (Path(__file__).parents[1] / "integration"
+                / "chaos.golden.json")
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +50,12 @@ def test_error_totals_match_the_policies_that_caused_them(document, kind):
 def test_report_shows_error_responses(document):
     report = format_chaos_report(document)
     assert report.count("error responses: 500=") == 2
+
+
+def test_chaos_document_is_byte_identical(document):
+    """Completions, fault and resilience counters and error responses
+    of both topologies must not drift.  A change that moves them on
+    purpose regenerates the file from ``json.dumps(run_chaos(),
+    indent=2, sort_keys=True)`` and explains the delta."""
+    exported = json.dumps(document, indent=2, sort_keys=True)
+    assert exported == GOLDEN_CHAOS.read_text(encoding="utf-8")

@@ -30,7 +30,6 @@ from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.sim.faults import sim_fault_plan
 from repro.sim.kernel import Simulation
-from repro.sim.results import SimResults
 from repro.sim.server import SimServer
 from repro.sim.workload import PageProfile, WorkloadConfig
 from repro.templates.engine import TemplateEngine
@@ -151,7 +150,7 @@ def run_sim(kind):
     """The same script through the SimServer with the same topology."""
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
-    server = SimServer(sim, config, SimResults(), kind)
+    server = SimServer(sim, config, kind)
     harness = server.configure_faults(
         sim_fault_plan(sim, PARITY_RULES, seed=PARITY_SEED),
         PARITY_RESILIENCE,
@@ -165,7 +164,9 @@ def run_sim(kind):
 
     sim.spawn(driver())
     sim.run()
-    return harness.plan.fault_report(), harness.stats.resilience_report()
+    # The harness counts into the server's own sink.
+    assert harness.stats is server.stats
+    return harness.plan.fault_report(), server.stats.resilience_report()
 
 
 @pytest.mark.parametrize("kind", sorted(LIVE_SERVERS))

@@ -189,19 +189,18 @@ class TestKeepAliveStarvation:
         finally:
             server.stop()
 
-    def test_parked_gauge_sampled_into_stats(self):
+    def test_parked_gauge_reads_the_reactor(self):
         app, database = build_app()
         server = StagedServer(
             app, ConnectionPool(database, 3), policy=tiny_staged_policy(),
-            queue_sample_interval=0.05,
         ).start()
         try:
             host, port = server.address
             idle = _idle_keepalive_connections(host, port, 3)
             assert _wait_until(
-                lambda: (server.stats.parked_series.values or [0])[-1] == 3
+                lambda: server.stats.connection_gauges()["parked"] == 3
             )
-            assert server.stats.connection_gauges()["parked"] == 3
+            assert server.reactor.parked_count == 3
             for sock in idle:
                 sock.close()
         finally:
@@ -245,6 +244,30 @@ class TestIdleReaping:
             assert _wait_until(lambda: server.reactor.sheds >= 2)
             assert server.reactor.parked_count <= 2
             assert server.stats.connection_gauges()["sheds"] >= 2
+            for sock in silent:
+                sock.close()
+        finally:
+            server.stop()
+
+    def test_gauges_equal_the_reactor_counters_exactly(self):
+        """One ledger: after 3 sheds and 2 reaps the stats gauges are
+        the reactor's own counters, not a second tally of them."""
+        app, database = build_app()
+        server = StagedServer(app, ConnectionPool(database, 3),
+                              policy=tiny_staged_policy(),
+                              max_connections=2, idle_timeout=1.0).start()
+        try:
+            host, port = server.address
+            silent = [socket.create_connection((host, port), timeout=5)
+                      for _ in range(5)]
+            assert _wait_until(lambda: server.reactor.sheds == 3)
+            assert _wait_until(lambda: server.reactor.idle_reaped == 2)
+            reactor = server.reactor.gauges()
+            assert server.stats.connection_gauges() == {
+                "idle_reaped": reactor["idle_reaped"],
+                "sheds": reactor["sheds"],
+                "parked": reactor["parked"],
+            } == {"idle_reaped": 2, "sheds": 3, "parked": 0}
             for sock in silent:
                 sock.close()
         finally:

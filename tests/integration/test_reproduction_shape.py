@@ -137,7 +137,7 @@ class TestReserveDynamics:
     def test_treserve_within_bounds(self, runner):
         staged = runner.staged
         config = runner.config
-        values = staged.treserve_series.values
+        values = staged.series("treserve").values
         assert values, "treserve never sampled"
         assert min(values) >= config.minimum_reserve
         assert max(values) <= config.general_pool - 1
@@ -145,7 +145,7 @@ class TestReserveDynamics:
     def test_treserve_responds_to_load(self, runner):
         """Under the loaded run, treserve must actually move (the
         adaptive law is engaged, not sitting at the minimum)."""
-        values = runner.staged.treserve_series.values
+        values = runner.staged.series("treserve").values
         assert max(values) > min(values)
 
 

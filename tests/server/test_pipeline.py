@@ -493,6 +493,6 @@ class TestConstruction:
         )
         try:
             pipeline.sample_queues()
-            assert set(stats.queue_series) == {"a", "b"}
+            assert set(stats.queue_series()) == {"a", "b"}
         finally:
             pipeline.shutdown()

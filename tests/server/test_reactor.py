@@ -145,16 +145,11 @@ class TestDispatch:
 
 class TestIdleTimeout:
     def test_idle_connection_reaped(self):
-        reaps = []
-        reactor = ConnectionReactor(
-            lambda c: None, idle_timeout=0.2,
-            on_idle_reap=lambda: reaps.append(1),
-        ).start()
+        reactor = ConnectionReactor(lambda c: None, idle_timeout=0.2).start()
         client, connection = _pair()
         try:
             reactor.park(connection)
             assert _wait_until(lambda: reactor.idle_reaped == 1, timeout=5)
-            assert reaps == [1]
             assert reactor.parked_count == 0
             # The peer observes the close.
             client.settimeout(5)
@@ -183,18 +178,13 @@ class TestIdleTimeout:
 
 class TestBackpressure:
     def test_max_connections_cap_sheds(self):
-        sheds = []
-        reactor = ConnectionReactor(
-            lambda c: None, max_connections=2,
-            on_shed=lambda: sheds.append(1),
-        ).start()
+        reactor = ConnectionReactor(lambda c: None, max_connections=2).start()
         pairs = [_pair() for _ in range(3)]
         try:
             for _client, connection in pairs:
                 reactor.park(connection)
             assert reactor.sheds == 1
             assert reactor.parked_count == 2
-            assert sheds == [1]
             # The shed connection was closed outright.
             assert pairs[2][1].closed
         finally:
@@ -374,11 +364,7 @@ class TestConcurrency:
 
     def test_counters_exact_under_concurrent_parks(self):
         per_thread = 25
-        sheds = []
-        reactor = ConnectionReactor(
-            lambda c: None, max_connections=1,
-            on_shed=lambda: sheds.append(1),
-        ).start()
+        reactor = ConnectionReactor(lambda c: None, max_connections=1).start()
         holder_client, holder = _pair()
         reactor.park(holder)  # fills the cap: every later park is shed
         pipelined = [[_pipelined() for _ in range(per_thread)]
@@ -403,7 +389,6 @@ class TestConcurrency:
             total = self.THREADS * per_thread
             assert reactor.dispatched == total
             assert reactor.sheds == total
-            assert len(sheds) == total
             assert reactor.parked_count == 1
             assert all(c.closed for row in over_cap for _c, c in row)
         finally:

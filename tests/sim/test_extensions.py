@@ -67,7 +67,7 @@ class TestPriorityPool:
 class TestSJFServer:
     def test_runs_and_completes(self):
         results = run_tpcw_simulation("sjf", tiny_config(),
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         assert results.total_completions() > 50
 
     def test_learns_sizes_and_favours_quick(self):
@@ -75,8 +75,8 @@ class TestSJFServer:
         baseline under identical load."""
         config = tiny_config(clients=40)
         profiles = fast_profiles(slow_demand=2.0)
-        sjf = run_tpcw_simulation("sjf", config, profiles=profiles)
-        fifo = run_tpcw_simulation("baseline", config, profiles=profiles)
+        sjf = run_tpcw_simulation("sjf", config, profiles=profiles).stats
+        fifo = run_tpcw_simulation("baseline", config, profiles=profiles).stats
 
         def quick_mean(results):
             rts = results.mean_response_times()
@@ -89,22 +89,22 @@ class TestSJFServer:
 
     def test_queue_series_recorded(self):
         results = run_tpcw_simulation("sjf", tiny_config(),
-                                      profiles=fast_profiles())
-        assert "dynamic" in results.queue_series
+                                      profiles=fast_profiles()).stats
+        assert "dynamic" in results.queue_series()
 
 
 class TestRenderInline:
     def test_runs_and_completes(self):
         results = run_tpcw_simulation("staged-render-inline", tiny_config(),
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         assert results.total_completions() > 50
 
     def test_deterministic(self):
         a = run_tpcw_simulation("staged-render-inline", tiny_config(seed=3),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged-render-inline", tiny_config(seed=3),
-                                profiles=fast_profiles())
-        assert a.completions == b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() == b.completions()
 
     def test_never_beats_separated_rendering(self):
         """The separated render pool frees connections during render;
@@ -112,8 +112,9 @@ class TestRenderInline:
         config = tiny_config(clients=40)
         profiles = fast_profiles()
         inline = run_tpcw_simulation("staged-render-inline", config,
-                                     profiles=profiles)
-        separated = run_tpcw_simulation("staged", config, profiles=profiles)
+                                     profiles=profiles).stats
+        separated = run_tpcw_simulation("staged", config,
+                                        profiles=profiles).stats
         assert separated.total_completions() >= (
             inline.total_completions() * 0.95
         )
@@ -122,22 +123,19 @@ class TestRenderInline:
 class TestWarmStart:
     def test_tracker_primed_from_profiles(self):
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
         from repro.sim.workload import DEFAULT_PROFILES
 
         config = tiny_config(warm_start=True)
-        server = SimServer(Simulation(), config, SimResults(), "staged")
+        server = SimServer(Simulation(), config, "staged")
         bs_demand = DEFAULT_PROFILES["/best_sellers"].db_demand
         assert server.policy.tracker.mean_time("/best_sellers") == bs_demand
 
     def test_cold_start_tracker_empty(self):
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
 
-        server = SimServer(Simulation(), tiny_config(), SimResults(),
-                           "staged")
+        server = SimServer(Simulation(), tiny_config(), "staged")
         assert server.policy.tracker.mean_time("/best_sellers") is None
 
     def test_warm_start_first_lengthy_routed_correctly(self):
@@ -146,21 +144,19 @@ class TestWarmStart:
         whenever tspare <= treserve."""
         from repro.core.dispatch import DynamicPoolChoice
         from repro.sim.kernel import Simulation
-        from repro.sim.results import SimResults
         from repro.sim.server import SimServer
 
         config = tiny_config(warm_start=True)
-        server = SimServer(Simulation(), config, SimResults(), "staged")
+        server = SimServer(Simulation(), config, "staged")
         choice = server.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.LENGTHY
 
-        cold = SimServer(Simulation(), tiny_config(), SimResults(),
-                         "staged")
+        cold = SimServer(Simulation(), tiny_config(), "staged")
         choice = cold.policy.route("/best_sellers", tspare=0)
         assert choice is DynamicPoolChoice.GENERAL
 
     def test_warm_start_run_completes(self):
         results = run_tpcw_simulation(
             "staged", tiny_config(warm_start=True), profiles=fast_profiles()
-        )
+        ).stats
         assert results.total_completions() > 50

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.core.dispatch import StrictSeparationDispatcher
-from repro.sim.results import SimResults
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     LENGTHY_REPORT_PAGES,
@@ -87,7 +86,7 @@ class TestSimulationRuns:
     @pytest.mark.parametrize("kind", ["baseline", "staged"])
     def test_completes_interactions(self, kind):
         results = run_tpcw_simulation(kind, tiny_config(),
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         assert results.total_completions() > 50
         assert results.mean_response_times()
 
@@ -97,52 +96,54 @@ class TestSimulationRuns:
 
     def test_deterministic_given_seed(self):
         a = run_tpcw_simulation("staged", tiny_config(seed=7),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged", tiny_config(seed=7),
-                                profiles=fast_profiles())
-        assert a.completions == b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() == b.completions()
         assert a.mean_response_times() == b.mean_response_times()
 
     def test_different_seeds_differ(self):
         a = run_tpcw_simulation("staged", tiny_config(seed=1),
-                                profiles=fast_profiles())
+                                profiles=fast_profiles()).stats
         b = run_tpcw_simulation("staged", tiny_config(seed=2),
-                                profiles=fast_profiles())
-        assert a.completions != b.completions
+                                profiles=fast_profiles()).stats
+        assert a.completions() != b.completions()
 
     def test_measurement_window_respected(self):
         config = tiny_config()
         results = run_tpcw_simulation("baseline", config,
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         # Queue samples span the whole run; completions only the window.
-        assert results.measure_start == config.ramp_up
-        assert results.measure_end == config.ramp_up + config.measure
+        times = results.series("queue/dynamic").times
+        assert times[0] < config.ramp_up
+        assert times[-1] >= config.ramp_up + config.measure
+        assert 0 < results.total_completions()
 
     def test_queue_series_recorded(self):
         baseline = run_tpcw_simulation("baseline", tiny_config(),
-                                       profiles=fast_profiles())
-        assert "dynamic" in baseline.queue_series
+                                       profiles=fast_profiles()).stats
+        assert "dynamic" in baseline.queue_series()
         staged = run_tpcw_simulation("staged", tiny_config(),
-                                     profiles=fast_profiles())
+                                     profiles=fast_profiles()).stats
         assert {"general", "lengthy", "static", "render",
-                "header"} <= set(staged.queue_series)
+                "header"} <= set(staged.queue_series())
 
     def test_reserve_series_only_for_staged(self):
         staged = run_tpcw_simulation("staged", tiny_config(),
-                                     profiles=fast_profiles())
-        assert len(staged.treserve_series) > 0
-        assert len(staged.spare_series) > 0
+                                     profiles=fast_profiles()).stats
+        assert len(staged.series("treserve")) > 0
+        assert len(staged.series("tspare")) > 0
 
     def test_custom_dispatcher_ablation(self):
         results = run_tpcw_simulation(
             "staged", tiny_config(), profiles=fast_profiles(),
             dispatcher=StrictSeparationDispatcher(),
-        )
+        ).stats
         assert results.total_completions() > 0
 
     def test_figure10_classes_recorded(self):
         results = run_tpcw_simulation("staged", tiny_config(),
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         for request_class in ("static", "dynamic", "quick", "lengthy"):
             series = results.throughput_series(60.0, request_class)
             assert sum(series.values) > 0, request_class
@@ -151,30 +152,19 @@ class TestSimulationRuns:
         """Generation time is the DB phase only; response time includes
         queues, render, and images — so response >= generation."""
         results = run_tpcw_simulation("staged", tiny_config(),
-                                      profiles=fast_profiles())
+                                      profiles=fast_profiles()).stats
         responses = results.mean_response_times()
-        for page, generation in results.generation_times.items():
-            if page in responses and generation.count:
-                assert responses[page] >= generation.mean * 0.5
+        generation = results.mean_generation_times()
+        assert generation
+        for page, mean in generation.items():
+            if page in responses:
+                assert responses[page] >= mean * 0.5
 
 
-class TestSimResults:
-    def test_window_filtering(self):
-        results = SimResults(measure_start=10.0, measure_end=20.0)
-        results.record_interaction(5.0, "/a", 1.0)    # before window
-        results.record_interaction(15.0, "/a", 1.0)   # inside
-        results.record_interaction(25.0, "/a", 1.0)   # after
-        assert results.completions == {"/a": 1}
-
-    def test_throughput_series_windowed(self):
-        results = SimResults(measure_start=0.0, measure_end=120.0)
-        results.record_request(30.0, "static")
-        results.record_request(90.0, "static")
-        series = results.throughput_series(60.0)
-        assert series.values == [1.0, 1.0]
-
-    def test_unknown_class_series_empty(self):
-        results = SimResults()
-        results.measure_end = 60.0
-        series = results.throughput_series(60.0, "nope")
-        assert sum(series.values) == 0
+class TestMeasurementWindow:
+    def test_window_is_half_open_after_ramp_up(self):
+        config = tiny_config(ramp_up=10, measure=10)
+        assert not config.measuring(5.0)     # ramp-up
+        assert config.measuring(10.0)
+        assert config.measuring(15.0)
+        assert not config.measuring(20.0)    # cool-down

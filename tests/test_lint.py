@@ -27,6 +27,11 @@ CASES = {
         os.path.join("repro", "server", "rogue.py"),
         "def f(source):\n    exec(source)\n", 2,
     ),
+    "metrics": (
+        os.path.join("repro", "server", "rogue.py"),
+        "from repro.util import timeseries\n\n"
+        "LEDGER = timeseries.TimeSeries('completions')\n", 3,
+    ),
     "sleep-free": (
         "test_rogue.py",
         "import time\n\ndef test_x():\n    time.sleep(0.5)\n", 4,
@@ -44,6 +49,11 @@ CLEAN_SOURCES = {
     "codegen": "# never exec(source) here\nimport re\n"
                "doc = 'eval(x)'\npattern = re.compile('x')\n"
                "template = engine.compile(nodes)\n",
+    "metrics": "# never TimeSeries() here\n"
+               "from repro.util.timeseries import TimeSeries\n"
+               "doc = 'SummaryAccumulator()'\n"
+               "def trace(stats) -> TimeSeries:\n"
+               "    return stats.series('tspare')\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
                   "    clock.advance(5.0)\n",
@@ -70,8 +80,10 @@ class TestFindViolations:
         ]
 
     def test_method_reference_counts_as_use(self, name, tmp_path):
+        # metrics forbids construction, so its use is a call.
         attribute = {"submit": "pool.submit", "acquire": "pool.acquire",
-                     "codegen": "eval", "sleep-free": "time.sleep"}[name]
+                     "codegen": "eval", "sleep-free": "time.sleep",
+                     "metrics": "WelfordAccumulator()"}[name]
         write(tmp_path, "alias.py", f"x = 1\nwait = {attribute}\n")
         assert [v[1] for v in find_violations(RULES[name],
                                               str(tmp_path))] == [2]

@@ -44,5 +44,5 @@ class TestPublicApi:
         config = WorkloadConfig.quick(
             clients=5, ramp_up=5, measure=30, cool_down=5,
         )
-        results = run_tpcw_simulation("staged", config)
+        results = run_tpcw_simulation("staged", config).stats
         assert results.total_completions() > 0

@@ -105,5 +105,5 @@ class TestBuildProfiles:
         config = WorkloadConfig.quick(
             clients=10, ramp_up=5, measure=40, cool_down=5,
         )
-        results = run_tpcw_simulation("staged", config, profiles=profiles)
+        results = run_tpcw_simulation("staged", config, profiles=profiles).stats
         assert results.total_completions() > 0

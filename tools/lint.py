@@ -23,6 +23,13 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   ``db/sql/executor.py``, which build their source from parsed trees
   and keep it as ``generated_source``.  Running text anywhere else is
   an injection surface nobody reviews as one.
+- ``metrics``: ``TimeSeries``, ``SummaryAccumulator`` and
+  ``WelfordAccumulator`` are constructed only by ``util/timeseries.py``
+  and ``server/stats.py``, plus three allow-listed owners of their own
+  percentiles: the two connection pools (``db/pool.py``,
+  ``sim/resources.py``) and the client emulator (``tpcw/emulator.py``).
+  Every server metric goes through ``ServerStats``; a private ledger
+  elsewhere is the second sink that ``ServerStats`` replaced.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -68,6 +75,16 @@ def _uses_builtin(*names: str) -> Callable[[ast.AST], bool]:
     return match
 
 
+def _constructs(*names: str) -> Callable[[ast.AST], bool]:
+    def match(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return ((isinstance(func, ast.Name) and func.id in names)
+                or (isinstance(func, ast.Attribute) and func.attr in names))
+    return match
+
+
 @dataclasses.dataclass(frozen=True)
 class Rule:
     name: str
@@ -104,6 +121,19 @@ RULES = {rule.name: rule for rule in (
     }), _uses_builtin("exec", "eval", "compile"),
         "exec/eval/compile outside the two code generators "
         "(templates/compiler.py, db/sql/executor.py)"),
+    Rule("metrics", "src", frozenset({
+        os.path.join("repro", "util", "timeseries.py"),
+        # THE metric sink, live and simulated.
+        os.path.join("repro", "server", "stats.py"),
+        # Pool-level acquire-wait percentiles (utilization_report()).
+        os.path.join("repro", "db", "pool.py"),
+        os.path.join("repro", "sim", "resources.py"),
+        # The client emulator's own client-side response times.
+        os.path.join("repro", "tpcw", "emulator.py"),
+    }), _constructs("TimeSeries", "SummaryAccumulator",
+                    "WelfordAccumulator"),
+        "metric containers built outside the metric sink (record into "
+        "repro.server.stats.ServerStats)"),
     Rule("sleep-free", os.path.join("tests", "chaos"), frozenset(),
          _uses_time_sleep,
          "time.sleep in the chaos suite (drive the ManualClock or sim "
