@@ -7,7 +7,7 @@ import pytest
 from repro.core.classifier import RequestClass
 from repro.server.stats import ServerStats
 from repro.util.clock import ManualClock
-from repro.util.timeseries import SummaryAccumulator
+from repro.util.timeseries import SummaryAccumulator, TimeSeries
 
 
 @pytest.fixture()
@@ -176,8 +176,6 @@ class TestSeries:
         """Whole-second window edges and bucket widths (the only ones
         in use) give exactly the buckets that bucketizing every event's
         own timestamp would."""
-        from repro.util.timeseries import TimeSeries
-
         clock = stats.clock
         raw = TimeSeries("raw")
         at = 0.0
