@@ -4,11 +4,10 @@
 threads ... a limited number of database connections are stored and
 shared by the threads" (paper §1, §2.2).  This pool is that limit made
 explicit: at most ``size`` connections exist; :meth:`acquire` blocks
-when all are out.  The pool also measures what the paper's scheme
-optimises: every checkout records how long the connection was *held*
-and how much of that time it spent actually *querying*, so
-:meth:`utilization_report` can state the connection busy fraction —
-the quantity decided by *who* holds connections and for how long.
+when all are out.  It keeps no held/busy ledger of its own: who holds
+a connection, and for how long, is measured per lease by
+:class:`repro.server.resources.LeaseManager` into
+:meth:`repro.server.stats.ServerStats.connection_utilization`.
 
 Raw ``acquire``/``release`` is deliberately low-level (a missed or
 doubled release corrupts the scarce resource the whole study is
@@ -21,12 +20,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Optional, Set
 
 from repro.db.connection import Connection
 from repro.db.engine import Database
 from repro.db.errors import PoolClosedError, PoolReleaseError, PoolTimeoutError
-from repro.util.timeseries import SummaryAccumulator
 
 
 class ConnectionPool:
@@ -58,21 +56,13 @@ class ConnectionPool:
         self._closed = False
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
-        # Checked-out connections and their checkout snapshot:
-        # (checkout time, busy_seconds at checkout).  Membership is
-        # also the release guard — a connection absent from this map
-        # was either never issued or already returned.
-        self._checked_out: Dict[Connection, Tuple[float, float]] = {}
+        # Checked-out connections: the release guard — a connection
+        # absent from this set was either never issued or already
+        # returned.
+        self._checked_out: Set[Connection] = set()
         # -- statistics
         self.total_acquires = 0
-        self.total_wait_seconds = 0.0
         self.peak_in_use = 0
-        #: Seconds connections spent checked out (completed checkouts).
-        self.total_held_seconds = 0.0
-        #: Seconds of those held seconds spent executing statements.
-        self.total_checkout_busy_seconds = 0.0
-        self.completed_checkouts = 0
-        self._wait_times = SummaryAccumulator("acquire-wait")
 
     # ------------------------------------------------------------------
     def acquire(self, timeout: Optional[float] = None) -> Connection:
@@ -82,7 +72,6 @@ class ConnectionPool:
             # it does not serialise other acquirers); EXHAUST/FAIL
             # raises PoolTimeoutError exactly as a starved wait would.
             self.faults.on_pool_acquire()
-        start = self._clock()
         with self._available:
             if self._closed:
                 raise PoolClosedError("connection pool is closed")
@@ -103,11 +92,7 @@ class ConnectionPool:
             self._in_use += 1
             self.peak_in_use = max(self.peak_in_use, self._in_use)
             self.total_acquires += 1
-            now = self._clock()
-            wait = now - start
-            self.total_wait_seconds += wait
-            self._wait_times.add(wait)
-            self._checked_out[connection] = (now, connection.busy_seconds)
+            self._checked_out.add(connection)
             return connection
 
     def release(self, connection: Connection) -> None:
@@ -118,19 +103,13 @@ class ConnectionPool:
         idle deque and the in-use count silently.
         """
         with self._available:
-            checkout = self._checked_out.pop(connection, None)
-            if checkout is None:
+            if connection not in self._checked_out:
                 raise PoolReleaseError(
                     f"connection {connection.connection_id} is not checked "
                     f"out of this pool (double release, or a connection the "
                     f"pool never issued)"
                 )
-            checked_out_at, busy_at_checkout = checkout
-            self.total_held_seconds += self._clock() - checked_out_at
-            self.total_checkout_busy_seconds += (
-                connection.busy_seconds - busy_at_checkout
-            )
-            self.completed_checkouts += 1
+            self._checked_out.remove(connection)
             if connection.closed:
                 # A handler closed it outright: replace capacity.
                 self._created -= 1
@@ -185,35 +164,3 @@ class ConnectionPool:
     def total_busy_seconds(self) -> float:
         """Total statement-execution time across all connections."""
         return sum(c.busy_seconds for c in self.connections())
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        with self._mutex:
-            if self.total_acquires == 0:
-                return 0.0
-            return self.total_wait_seconds / self.total_acquires
-
-    def utilization_report(self) -> Dict:
-        """Busy-fraction accounting over completed checkouts.
-
-        ``busy_fraction`` is seconds-spent-querying over seconds-held —
-        the paper's headline resource-efficiency metric (connections
-        pinned to threads that parse and render sit idle; connections
-        held only for data generation stay busy).  In-flight checkouts
-        are not included; read the report after they return (e.g. after
-        server shutdown, which releases every pinned connection).
-        """
-        with self._mutex:
-            held = self.total_held_seconds
-            busy = self.total_checkout_busy_seconds
-            report = {
-                "size": self.size,
-                "acquires": self.total_acquires,
-                "completed_checkouts": self.completed_checkouts,
-                "in_use": self._in_use,
-                "held_seconds": held,
-                "busy_seconds": busy,
-                "busy_fraction": (busy / held) if held > 0 else 0.0,
-            }
-        report["acquire_wait"] = self._wait_times.summary()
-        return report

@@ -196,21 +196,17 @@ class RequestJob:
 class Stage:
     """Everything one pool *is*, declared as data.
 
-    ``handler(job) -> StageOutcome`` runs on this stage's workers.
-    ``max_queue=None`` inherits the pipeline-wide bound, so end-to-end
-    backpressure stays the default; a stage may still override it.
+    ``handler(job) -> StageOutcome`` runs on this stage's workers; the
+    stage's queue takes the pipeline-wide ``max_queue`` bound.
     """
 
     name: str
     size: int
     handler: Callable[[RequestJob], StageOutcome]
-    worker_init: Optional[Callable[[], None]] = None
-    worker_cleanup: Optional[Callable[[], None]] = None
-    max_queue: Optional[int] = None
     #: Declared resource needs.  ``DatabaseResource(...)`` means this
     #: stage's workers touch the database; the pipeline provisions the
-    #: connection leases (pinned, per-request, or per-query) around the
-    #: stage's own hooks — servers declare, they do not bind.
+    #: connection leases (pinned, per-request, or per-query) as the
+    #: workers' init/cleanup hooks — servers declare, they do not bind.
     resources: Optional[DatabaseResource] = None
 
 
@@ -232,8 +228,7 @@ class Pipeline:
         Called with a keep-alive connection after a completed response;
         expected to return it to the reactor.
     max_queue:
-        Default bounded-queue depth for every stage (a stage's own
-        ``max_queue`` wins).  ``None`` = unbounded.
+        Bounded-queue depth for every stage.  ``None`` = unbounded.
     leases:
         The :class:`LeaseManager` that provisions declared
         ``Stage.resources``.  Required when any stage declares a
@@ -281,23 +276,21 @@ class Pipeline:
         self._pools: Dict[str, ThreadPool] = {}
         self._executors: Dict[str, Callable[[RequestJob], None]] = {}
         for stage in self.stages:
-            init, cleanup = stage.worker_init, stage.worker_cleanup
+            init = cleanup = None
             if stage.resources is not None:
                 if leases is None:
                     raise ValueError(
                         f"stage {stage.name!r} declares resources but the "
                         f"pipeline has no LeaseManager"
                     )
-                init, cleanup = leases.worker_hooks(
-                    stage.name, stage.resources, init, cleanup
-                )
-            bound = stage.max_queue if stage.max_queue is not None else max_queue
+                init, cleanup = leases.worker_hooks(stage.name,
+                                                    stage.resources)
             self._pools[stage.name] = ThreadPool(
                 stage.name,
                 stage.size,
                 worker_init=init,
                 worker_cleanup=cleanup,
-                max_queue=bound,
+                max_queue=max_queue,
                 error_handler=functools.partial(
                     self._on_worker_error, stage.name
                 ),

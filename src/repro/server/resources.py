@@ -29,9 +29,10 @@ sanctioned caller outside the pool itself — ``tools/lint.py``
 enforces this in CI), binds connections into
 the application's thread-local ``getconn()`` context, and records each
 lease's acquire wait, held time, and query-busy time into
-:class:`~repro.server.stats.ServerStats` per stage — which is how the
-*connection busy fraction*, the mechanism behind the paper's Tables
-3–4, becomes an exported number per stage and per strategy.
+:class:`~repro.server.stats.ServerStats` per stage — the one
+connection ledger, and how the *connection busy fraction*, the
+mechanism behind the paper's Tables 3–4, becomes an exported number
+per stage and per strategy.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import threading
 import time
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -77,9 +79,9 @@ class DatabaseResource:
 
     Attached to a :class:`~repro.server.pipeline.Stage` via its
     ``resources=`` field; the :class:`~repro.server.pipeline.Pipeline`
-    provisions the leases in ``worker_init``/``worker_cleanup`` order
-    (or per request / per query), so no server class binds connections
-    by hand.
+    provisions the leases as its workers' init/cleanup hooks (or per
+    request / per query), so no server class binds connections by
+    hand.
     """
 
     strategy: LeaseStrategy = LeaseStrategy.PINNED
@@ -226,23 +228,19 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def worker_hooks(
         self, stage_name: str, resource: DatabaseResource,
-        init: Optional[Callable[[], None]] = None,
-        cleanup: Optional[Callable[[], None]] = None,
     ) -> Tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]:
-        """Compose a stage's worker hooks with lease provisioning.
-
-        Provision happens *around* the stage's own hooks: the lease is
-        the first thing a worker gets and the last thing it gives back,
-        so a failing user ``init`` never leaks a connection.
-        """
+        """A stage's worker ``(init, cleanup)`` pair: the lease
+        provisioning, or ``(None, None)`` for per-request leasing,
+        which provisions in :meth:`request_scope` instead."""
         if resource.strategy is LeaseStrategy.PINNED:
-            return (self._pinned_init(stage_name, resource, init),
-                    self._pinned_cleanup(cleanup))
+            return (functools.partial(self._pinned_init, stage_name,
+                                      resource),
+                    self._pinned_cleanup)
         if resource.strategy is LeaseStrategy.LEASED_PER_QUERY:
-            return (self._per_query_init(stage_name, resource, init),
-                    self._per_query_cleanup(cleanup))
-        # LEASED_PER_REQUEST provisions in request_scope, not per worker.
-        return init, cleanup
+            return (functools.partial(self._per_query_init, stage_name,
+                                      resource),
+                    self._per_query_cleanup)
+        return None, None
 
     def request_scope(self, stage_name: str, resource: DatabaseResource):
         """A per-request lease context, or ``None`` for strategies that
@@ -265,62 +263,32 @@ class LeaseManager:
             self.release(lease)
 
     # -- pinned ---------------------------------------------------------
-    def _pinned_init(self, stage_name: str, resource: DatabaseResource,
-                     init: Optional[Callable[[], None]]):
-        def _init() -> None:
-            lease = self.acquire(stage_name, LeaseStrategy.PINNED,
-                                 resource.acquire_timeout)
-            try:
-                self._local.pinned = lease
-                self._bind(lease.connection)
-                if init is not None:
-                    init()
-            except BaseException:
-                self._local.pinned = None
-                self._bind(None)
-                self.release(lease)
-                raise
+    def _pinned_init(self, stage_name: str,
+                     resource: DatabaseResource) -> None:
+        lease = self.acquire(stage_name, LeaseStrategy.PINNED,
+                             resource.acquire_timeout)
+        self._local.pinned = lease
+        self._bind(lease.connection)
 
-        return _init
-
-    def _pinned_cleanup(self, cleanup: Optional[Callable[[], None]]):
-        def _cleanup() -> None:
-            try:
-                if cleanup is not None:
-                    cleanup()
-            finally:
-                lease = getattr(self._local, "pinned", None)
-                self._local.pinned = None
-                self._bind(None)
-                if lease is not None:
-                    self.release(lease)
-
-        return _cleanup
+    def _pinned_cleanup(self) -> None:
+        lease = getattr(self._local, "pinned", None)
+        self._local.pinned = None
+        self._bind(None)
+        if lease is not None:
+            self.release(lease)
 
     # -- per-query ------------------------------------------------------
-    def _per_query_init(self, stage_name: str, resource: DatabaseResource,
-                        init: Optional[Callable[[], None]]):
-        def _init() -> None:
-            # One facade per worker thread: it leases around each
-            # statement, so it carries no shared mutable state beyond
-            # an open explicit transaction (which is thread-local by
-            # construction — the facade never leaves this worker).
-            self._bind(PerQueryConnection(self, stage_name,
-                                          resource.acquire_timeout))
-            if init is not None:
-                init()
+    def _per_query_init(self, stage_name: str,
+                        resource: DatabaseResource) -> None:
+        # One facade per worker thread: it leases around each
+        # statement, so it carries no shared mutable state beyond an
+        # open explicit transaction (which is thread-local by
+        # construction — the facade never leaves this worker).
+        self._bind(PerQueryConnection(self, stage_name,
+                                      resource.acquire_timeout))
 
-        return _init
-
-    def _per_query_cleanup(self, cleanup: Optional[Callable[[], None]]):
-        def _cleanup() -> None:
-            try:
-                if cleanup is not None:
-                    cleanup()
-            finally:
-                self._bind(None)
-
-        return _cleanup
+    def _per_query_cleanup(self) -> None:
+        self._bind(None)
 
     # ------------------------------------------------------------------
     def _bind(self, connection) -> None:

@@ -7,7 +7,10 @@ completions per minute (Figures 9–10) — plus, beyond the paper,
 per-stage queue-wait/service-time percentiles, connection busy
 fractions and resilience counters.
 
-Every number lives in one of four keyed stores under one lock:
+Every number lives in one of four keyed stores under one lock.  The
+accumulators in the summaries store take no lock of their own: every
+``record_*`` call adds to them, and every view reads them, while
+holding the stats lock.
 
 - counters, ``family -> {key: number}``: completions, errors, policy
   outcomes, injected faults, breaker transitions and lease totals;
@@ -27,7 +30,8 @@ Request classes are the :class:`repro.core.classifier.RequestClass`
 enum end-to-end.  Per-class completion counts keep the labels the
 figure-10 exports have always used: ``static``, ``dynamic`` (all
 dynamic requests), and the refined ``quick`` / ``lengthy`` — a dynamic
-completion counts under both ``dynamic`` and its refined label.
+completion counts under both ``dynamic`` and its refined label, and
+every completion counts once toward the overall total (Figure 9).
 
 The simulator drives the same class on its own clock
 (:class:`repro.sim.faults.SimClockAdapter`): it records each
@@ -64,8 +68,8 @@ RESILIENCE_COUNTERS = (
     "degraded_served", "late_completions", "worker_crashes",
 )
 
-#: What one live completion counts toward: the overall total and its
-#: class labels.
+#: What one completion counts toward, live or simulated: the overall
+#: total and its class labels.
 _COMPLETION_LABELS = {
     request_class: ("all",) + labels
     for request_class, labels in CLASS_SERIES_LABELS.items()
@@ -141,16 +145,12 @@ class ServerStats:
         with self._lock:
             self._interaction(page, response_seconds)
 
-    def record_request(self, label: str) -> None:
-        """One completed HTTP request under the class ``label``.
-
-        The simulator calls it once per label — ``static``, or
-        ``dynamic`` and then ``quick``/``lengthy`` — and each call also
-        counts toward the overall total, so the simulated Figure 9
-        counts a dynamic request twice, as it always has.
-        """
+    def record_request(self, request_class: RequestClass) -> None:
+        """One completed HTTP request of ``request_class``, counted like
+        a live completion's request half."""
+        labels = _COMPLETION_LABELS[request_class]
         with self._lock:
-            self._requests(("all", label))
+            self._requests(labels)
 
     def record_error(self, page: str, status: int) -> None:
         """One error response (any status outside 2xx/3xx) sent for
@@ -257,25 +257,25 @@ class ServerStats:
         return report
 
     def _summaries_of(self, family: str) -> Dict[str, WelfordAccumulator]:
-        # Callers hold the lock; the accumulators lock themselves.
+        # Callers hold the lock for as long as they read the result.
         return {key: acc for key, acc in self._summaries[family].items()
                 if acc.count}
 
     def mean_response_times(self) -> Dict[str, float]:
         with self._lock:
-            responses = self._summaries_of("response")
-        return {page: acc.mean for page, acc in responses.items()}
+            return {page: acc.mean
+                    for page, acc in self._summaries_of("response").items()}
 
     def response_time_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-page response-time summaries: count/mean/p50/p95/p99/max."""
         with self._lock:
-            responses = self._summaries_of("response")
-        return {page: acc.summary() for page, acc in responses.items()}
+            return {page: acc.summary()
+                    for page, acc in self._summaries_of("response").items()}
 
     def mean_generation_times(self) -> Dict[str, float]:
         with self._lock:
-            generations = self._summaries_of("generation")
-        return {page: acc.mean for page, acc in generations.items()}
+            return {page: acc.mean
+                    for page, acc in self._summaries_of("generation").items()}
 
     def stage_timing_summary(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """Per-stage queue-wait and service-time percentile summaries.
@@ -285,13 +285,12 @@ class ServerStats:
         latency go" (header vs. general vs. render).
         """
         with self._lock:
-            waits = self._summaries_of("queue_wait")
             services = self._summaries_of("service")
-        return {
-            stage: {"queue_wait": wait.summary(),
-                    "service": services[stage].summary()}
-            for stage, wait in waits.items()
-        }
+            return {
+                stage: {"queue_wait": wait.summary(),
+                        "service": services[stage].summary()}
+                for stage, wait in self._summaries_of("queue_wait").items()
+            }
 
     def connection_utilization(self) -> Dict[str, Dict]:
         """Per-stage busy-fraction snapshot.
@@ -303,22 +302,21 @@ class ServerStats:
         """
         with self._lock:
             waits = self._summaries_of("acquire_wait")
-            strategies = dict(self._lease_strategies)
-            leases = dict(self._counters["leases"])
-            held = dict(self._counters["held_seconds"])
-            busy = dict(self._counters["busy_seconds"])
-        return {
-            stage: {
-                "strategy": strategy,
-                "leases": leases[stage],
-                "held_seconds": held[stage],
-                "busy_seconds": busy[stage],
-                "busy_fraction": (busy[stage] / held[stage]
-                                  if held[stage] > 0 else 0.0),
-                "acquire_wait": waits[stage].summary(),
+            leases = self._counters["leases"]
+            held = self._counters["held_seconds"]
+            busy = self._counters["busy_seconds"]
+            return {
+                stage: {
+                    "strategy": strategy,
+                    "leases": leases[stage],
+                    "held_seconds": held[stage],
+                    "busy_seconds": busy[stage],
+                    "busy_fraction": (busy[stage] / held[stage]
+                                      if held[stage] > 0 else 0.0),
+                    "acquire_wait": waits[stage].summary(),
+                }
+                for stage, strategy in self._lease_strategies.items()
             }
-            for stage, strategy in strategies.items()
-        }
 
     def resilience_report(self) -> Dict:
         """Snapshot of fault injections and policy outcomes.

@@ -7,11 +7,12 @@ reproducible in seconds:
 
 - :mod:`repro.sim.kernel` — a generator-based discrete-event kernel.
 - :mod:`repro.sim.resources` — thread pools (FIFO or priority-ordered
-  waiter queues, which are the plotted queue lengths), a metered
-  connection pool, processor-sharing hosts, and reader-preference
-  table locks.  The lock model differs from the live
-  :mod:`repro.db.locks` on purpose: it reproduces Table 4's
-  admin-response slowdown.
+  waiter queues, which are the plotted queue lengths),
+  processor-sharing hosts, and reader-preference table locks.  The
+  lock model differs from the live :mod:`repro.db.locks` on purpose:
+  it reproduces Table 4's admin-response slowdown.  There is no
+  simulated connection pool: connections equal the threads that
+  lease them (see :mod:`repro.sim.server`).
 - :mod:`repro.sim.server` — :class:`SimServer`, one stage-graph walker
   whose stage table names the topology (thread-per-request, the
   five-pool design, its render-inline ablation, or SJF), embedding the
@@ -29,8 +30,6 @@ by the sim clock.
 from repro.sim.kernel import Simulation, SimEvent
 from repro.sim.resources import (
     PSServer,
-    SimConnectionPool,
-    SimLease,
     SimLockTable,
     SimThreadPool,
 )
@@ -46,8 +45,6 @@ __all__ = [
     "Simulation",
     "SimEvent",
     "PSServer",
-    "SimConnectionPool",
-    "SimLease",
     "SimLockTable",
     "SimThreadPool",
     "SimServer",

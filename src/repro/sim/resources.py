@@ -1,13 +1,12 @@
-"""Simulated resources: thread pools, connections, PS, table locks."""
+"""Simulated resources: thread pools, PS hosts, table locks."""
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.sim.kernel import SimEvent, Simulation
-from repro.util.timeseries import SummaryAccumulator
 
 
 class SimThreadPool:
@@ -70,118 +69,6 @@ class SimThreadPool:
             event.fire()  # busy count transfers to the waiter
         else:
             self.busy -= 1
-
-
-class SimLease:
-    """One simulated connection checkout; the ledger the report sums.
-
-    ``granted`` fires when the pool hands the connection over; sim
-    processes ``yield`` it before touching the database.  Query time
-    accrues via :meth:`note_busy` (the sim has no cursors — the server
-    process knows how long its database phase took and reports it).
-    """
-
-    __slots__ = ("pool", "tag", "granted", "requested_at", "granted_at",
-                 "busy_seconds", "released")
-
-    def __init__(self, pool: "SimConnectionPool", tag: str):
-        self.pool = pool
-        self.tag = tag
-        self.granted: SimEvent = pool.sim.event()
-        self.requested_at = pool.sim.now
-        self.granted_at: Optional[float] = None
-        self.busy_seconds = 0.0
-        self.released = False
-
-    def note_busy(self, seconds: float) -> None:
-        """Record query-execution time accrued under this lease."""
-        if seconds < 0:
-            raise ValueError(f"busy seconds must be >= 0, got {seconds}")
-        self.busy_seconds += seconds
-
-    def release(self) -> None:
-        self.pool.release(self)
-
-
-class SimConnectionPool:
-    """The simulated twin of :class:`repro.db.pool.ConnectionPool`.
-
-    Tracks exactly the accounting the live pool's
-    ``utilization_report`` reports — held seconds, query-busy seconds,
-    acquire-wait percentiles — so the simulator states the same
-    connection busy fraction the live servers export, and sim/live
-    parity is testable key by key (``tests/sim``).  FIFO grants, like
-    the live pool's condition-variable queue under fair wakeup.
-    """
-
-    def __init__(self, sim: Simulation, size: int):
-        if size < 1:
-            raise ValueError(f"connection pool size must be >= 1, got {size}")
-        self.sim = sim
-        self.size = size
-        self._in_use = 0
-        self._waiters: Deque[SimLease] = deque()
-        # -- statistics (mirrors the live pool field for field)
-        self.total_acquires = 0
-        self.peak_in_use = 0
-        self.total_held_seconds = 0.0
-        self.total_checkout_busy_seconds = 0.0
-        self.completed_checkouts = 0
-        self._wait_times = SummaryAccumulator("acquire-wait")
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def lease(self, tag: str = "db") -> SimLease:
-        """Request a connection; the lease's ``granted`` event fires
-        once one is free (immediately when the pool has capacity)."""
-        lease = SimLease(self, tag)
-        if self._in_use < self.size and not self._waiters:
-            self._grant(lease)
-        else:
-            self._waiters.append(lease)
-        return lease
-
-    def release(self, lease: SimLease) -> None:
-        if lease.released:
-            raise RuntimeError("simulated connection lease released twice")
-        if lease.granted_at is None:
-            raise RuntimeError("cannot release an ungranted lease")
-        lease.released = True
-        self.total_held_seconds += self.sim.now - lease.granted_at
-        self.total_checkout_busy_seconds += lease.busy_seconds
-        self.completed_checkouts += 1
-        self._in_use -= 1
-        if self._waiters:
-            self._grant(self._waiters.popleft())
-
-    def _grant(self, lease: SimLease) -> None:
-        self._in_use += 1
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        self.total_acquires += 1
-        lease.granted_at = self.sim.now
-        self._wait_times.add(lease.granted_at - lease.requested_at)
-        lease.granted.fire()
-
-    def utilization_report(self) -> Dict:
-        """Same shape as ``ConnectionPool.utilization_report``."""
-        held = self.total_held_seconds
-        busy = self.total_checkout_busy_seconds
-        return {
-            "size": self.size,
-            "acquires": self.total_acquires,
-            "completed_checkouts": self.completed_checkouts,
-            "in_use": self._in_use,
-            "held_seconds": held,
-            "busy_seconds": busy,
-            "busy_fraction": (busy / held) if held > 0 else 0.0,
-            "acquire_wait": self._wait_times.summary(),
-        }
 
 
 class PSServer:

@@ -15,12 +15,23 @@ database host, a processor-sharing web host, reader-preference table
 locks — and embeds the *real* :class:`repro.core.SchedulingPolicy`:
 dispatch decisions, the service-time tracker, and the treserve
 controller run the production code against simulated time.
+
+The simulator models threads, not connections.  Connections are
+assigned only to the threads that touch the database (paper §1), one
+each: the staged pools' general and lengthy threads, or every worker
+of a thread-per-request server.  A connection is therefore never
+waited for, and it is held exactly while its thread is held, so the
+thread pools already carry the whole resource story.  Connection
+held/busy accounting lives in the live lease layer
+(:class:`repro.server.resources.LeaseManager` feeding
+:meth:`repro.server.stats.ServerStats.connection_utilization`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.core.classifier import RequestClass
 from repro.core.dispatch import Dispatcher, DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.faults.plan import FaultPlan
@@ -33,12 +44,7 @@ from repro.sim.faults import (
     sim_fault_plan,
 )
 from repro.sim.kernel import SimEvent, Simulation
-from repro.sim.resources import (
-    PSServer,
-    SimConnectionPool,
-    SimLockTable,
-    SimThreadPool,
-)
+from repro.sim.resources import PSServer, SimLockTable, SimThreadPool
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     PageProfile,
@@ -122,8 +128,6 @@ class SimServer:
         """Paper Figure 4: one pool does everything, and every worker
         pins a database connection for its lifetime (pool size =
         workers, §1)."""
-        self.connections = SimConnectionPool(self.sim,
-                                             self.config.baseline_workers)
         self._add_stage("worker", self.config.baseline_workers, self._worker)
         self.sample = self._sample_worker_queue
 
@@ -133,15 +137,12 @@ class SimServer:
 
     def _build_staged(self) -> None:
         """Paper Figure 5.  Connections are assigned only to dynamic-
-        request threads (§1): the pool is sized to the two dynamic
-        stages."""
+        request threads (§1), one per general or lengthy thread."""
         config = self.config
         if config.warm_start:
             for path, profile in DEFAULT_PROFILES.items():
                 if profile.db_demand > 0:
                     self.policy.tracker.prime(path, profile.db_demand)
-        self.connections = SimConnectionPool(
-            self.sim, config.general_pool + config.lengthy_pool)
         self._add_stage("header", config.header_pool, self._header)
         self._add_stage("static", config.static_pool, self._static)
         self._add_stage("general", config.general_pool, self._dynamic)
@@ -217,9 +218,9 @@ class SimServer:
             return
         if not harness.on_client_write(request.page, last_stage):
             return
-        self.stats.record_request(request.kind)
-        if request.profile is not None:
-            self.stats.record_request(_report_class(request.page))
+        self.stats.record_request(
+            RequestClass.STATIC if request.profile is None
+            else _report_class(request.page))
 
     # ------------------------------------------------------------------
     # Steps: generators returning the next stage; falling off the end
@@ -230,14 +231,10 @@ class SimServer:
         renders; its connection is held (and mostly idle) throughout."""
         if request.profile is not None:
             return (yield from self._dynamic(request, stage, parse=True))
-        # Even static serving occupies the worker's pinned connection —
-        # the paper's complaint about the thread-per-request trend.
-        lease = self.connections.lease(tag=stage)
-        yield lease.granted
-        try:
-            yield self.web.serve(request.static_demand)
-        finally:
-            lease.release()
+        # Even static serving occupies the worker and its pinned
+        # connection — the paper's complaint about the
+        # thread-per-request trend.
+        yield self.web.serve(request.static_demand)
 
     def _header(self, request: _Request, stage: str):
         """Header parsing plus Table 1 dispatch.  The request line
@@ -263,63 +260,56 @@ class SimServer:
             yield self.web.serve(profile.render_demand * request.jitter)
 
     def _dynamic(self, request: _Request, stage: str, parse: bool = False):
-        """Data generation on a connection-holding thread: lease a
-        connection, run the database phase, and feed the measured time
-        to the classifier, exactly as the live server does when the
-        unrendered template is enqueued (§3.3).  Without a render stage
-        this thread renders too, its connection idle."""
+        """Data generation on a connection-holding thread: run the
+        database phase and feed the measured time to the classifier,
+        exactly as the live server does when the unrendered template is
+        enqueued (§3.3).  Without a render stage this thread renders
+        too, its connection idle.
+
+        The connection is this thread's own (see the module docstring),
+        so there is no wait for one; only the pool's fault site and its
+        breaker are consulted."""
         profile = request.profile
         render_here = "render" not in self.stages
-        # The connection is held only while this thread works — the
-        # paper's scheme, and the source of the busy-fraction gap.
         yield from self.fault_harness.lease_gate(stage, request.page)
-        lease = self.connections.lease(tag=stage)
-        yield lease.granted
-        try:
-            if parse:
-                yield self.web.serve(profile.parse_demand)
-            started = self.sim.now
-            yield from self._db_phase(request, lease, stage)
-            seconds = self.sim.now - started
-            self.policy.record_generation_time(profile.path, seconds)
-            if self.config.measuring(self.sim.now):
-                self.stats.record_generation_time(profile.path, seconds)
-            if render_here:
-                yield from self._render(request, stage)
-        finally:
-            lease.release()
+        if parse:
+            yield self.web.serve(profile.parse_demand)
+        started = self.sim.now
+        yield from self._db_phase(request, stage)
+        seconds = self.sim.now - started
+        self.policy.record_generation_time(profile.path, seconds)
+        if self.config.measuring(self.sim.now):
+            self.stats.record_generation_time(profile.path, seconds)
+        if render_here:
+            yield from self._render(request, stage)
         return None if render_here else "render"
 
-    def _db_phase(self, request: _Request, lease, stage: str):
+    def _db_phase(self, request: _Request, stage: str):
         """The data-generation phase: read holds, query, optional write
         grace period.  The calling thread (and its held database
-        connection) is occupied for the entire phase; time actually
-        spent serving queries accrues onto ``lease`` as busy time."""
+        connection) is occupied for the entire phase."""
         profile = request.profile
         tokens = [(table, self.locks.acquire_read(table))
                   for table in sorted(profile.read_tables)]
         try:
             if profile.db_demand > 0:
-                yield from self._query(profile.db_demand, request, lease,
-                                       stage)
+                yield from self._query(profile.db_demand, request, stage)
         finally:
             for table, token in reversed(tokens):
                 self.locks.release_read(table, token)
         if profile.write_table is not None:
             yield self.locks.acquire_write(profile.write_table)
             try:
-                yield from self._query(profile.write_demand, request, lease,
+                yield from self._query(profile.write_demand, request,
                                        stage)
             finally:
                 self.locks.release_write(profile.write_table)
 
-    def _query(self, demand: float, request: _Request, lease, stage: str):
+    def _query(self, demand: float, request: _Request, stage: str):
         """One statement behind the live engine's per-statement
         injection point (delay, transient-with-retry, hard failure)."""
         yield from self.fault_harness.db_query(stage, request.page)
-        started = self.sim.now
         yield self.db.serve(demand * request.jitter)
-        lease.note_busy(self.sim.now - started)
 
     # ------------------------------------------------------------------
     # 1 Hz sampling

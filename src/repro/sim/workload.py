@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
+from repro.core.classifier import RequestClass
 from repro.sim.kernel import Simulation
 from repro.tpcw.mix import BROWSING_MIX, BrowsingMix
 from repro.util.rng import RandomStream
@@ -212,8 +213,10 @@ class WorkloadConfig:
         return cls(**defaults)
 
 
-def _report_class(path: str) -> str:
-    return "lengthy" if path in LENGTHY_REPORT_PAGES else "quick"
+def _report_class(path: str) -> RequestClass:
+    """The class a completed page counts under in Figure 10."""
+    return (RequestClass.LENGTHY_DYNAMIC if path in LENGTHY_REPORT_PAGES
+            else RequestClass.QUICK_DYNAMIC)
 
 
 def run_tpcw_simulation(server_kind: str,

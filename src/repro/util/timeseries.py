@@ -1,8 +1,10 @@
 """Metric containers: time series and running statistics.
 
-Used by the server-side stats collector, the simulator's result
-recorder, and the experiment harness to regenerate the paper's tables
-and figures.
+Used by the metric sink (:mod:`repro.server.stats`, live and
+simulated), the client emulator, and the experiment harness to
+regenerate the paper's tables and figures.  A :class:`TimeSeries`
+locks itself, because the sink hands out live series; the accumulators
+do not, because each has one owner that serialises access to it.
 """
 
 from __future__ import annotations
@@ -96,21 +98,24 @@ class TimeSeries:
 
 
 class WelfordAccumulator:
-    """Numerically stable running mean (Welford's update) and maximum."""
+    """Numerically stable running mean (Welford's update) and maximum.
+
+    Not thread-safe: the owner serialises every ``add`` and every read
+    (:class:`repro.server.stats.ServerStats` holds its lock around
+    both; a client emulator reads its own after joining its thread).
+    """
 
     def __init__(self, name: str = ""):
         self.name = name
         self._n = 0
         self._mean = 0.0
         self._max = -math.inf
-        self._lock = threading.Lock()
 
     def add(self, x: float) -> None:
-        with self._lock:
-            self._n += 1
-            self._mean += (x - self._mean) / self._n
-            if x > self._max:
-                self._max = x
+        self._n += 1
+        self._mean += (x - self._mean) / self._n
+        if x > self._max:
+            self._max = x
 
     def extend(self, xs: Iterable[float]) -> None:
         for x in xs:
@@ -118,15 +123,13 @@ class WelfordAccumulator:
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._n
+        return self._n
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            if self._n == 0:
-                raise ValueError(f"accumulator {self.name!r} is empty")
-            return self._mean
+        if self._n == 0:
+            raise ValueError(f"accumulator {self.name!r} is empty")
+        return self._mean
 
 
 class SummaryAccumulator(WelfordAccumulator):
@@ -137,7 +140,8 @@ class SummaryAccumulator(WelfordAccumulator):
     other sample dropped) and the retention stride doubles, so a
     long-running server keeps an evenly spaced subsample while
     ``count``/``mean``/``max`` remain exact.  Decimation is
-    deterministic — no RNG — so runs stay bit-reproducible.
+    deterministic — no RNG — so runs stay bit-reproducible.  Like its
+    base class it is not thread-safe; the owner serialises access.
     """
 
     def __init__(self, name: str = "", max_samples: int = 65536):
@@ -151,36 +155,28 @@ class SummaryAccumulator(WelfordAccumulator):
 
     def add(self, x: float) -> None:
         super().add(x)
-        # A second lock round-trip: WelfordAccumulator.add releases the
-        # lock before we retain the sample.  A reader between the two
-        # sees a count one ahead of the sample list — harmless.
-        with self._lock:
-            self._since_kept += 1
-            if self._since_kept >= self._stride:
-                self._since_kept = 0
-                self._samples.append(float(x))
-                if len(self._samples) > self._max_samples:
-                    self._samples = self._samples[::2]
-                    self._stride *= 2
+        self._since_kept += 1
+        if self._since_kept >= self._stride:
+            self._since_kept = 0
+            self._samples.append(float(x))
+            if len(self._samples) > self._max_samples:
+                self._samples = self._samples[::2]
+                self._stride *= 2
 
     def summary(self) -> Dict[str, float]:
         """count/mean/p50/p95/p99/max as one JSON-friendly dict."""
-        with self._lock:
-            if not self._samples:
-                return {"count": 0}
-            ordered = sorted(self._samples)
-            count = self._n
-            mean = self._mean
-            maximum = self._max
+        if not self._samples:
+            return {"count": 0}
+        ordered = sorted(self._samples)
 
         def rank(p: float) -> float:
             return ordered[max(1, math.ceil(p / 100.0 * len(ordered))) - 1]
 
         return {
-            "count": count,
-            "mean": mean,
+            "count": self._n,
+            "mean": self._mean,
             "p50": rank(50),
             "p95": rank(95),
             "p99": rank(99),
-            "max": maximum,
+            "max": self._max,
         }

@@ -15,7 +15,6 @@ from repro.db.errors import (
     ProgrammingError,
 )
 from repro.db.pool import ConnectionPool
-from repro.util.clock import ManualClock
 
 
 @pytest.fixture()
@@ -195,7 +194,7 @@ class TestConnectionPool:
         pool.release(b)
         assert pool.total_acquires == 2
         assert pool.peak_in_use == 2
-        assert pool.mean_wait_seconds >= 0.0
+        assert pool.in_use == 0
 
     def test_invalid_size(self, db):
         with pytest.raises(ValueError):
@@ -250,77 +249,6 @@ class TestReleaseHardening:
         pool.release(connection)
         with pytest.raises(PoolReleaseError):
             pool.release(connection)
-
-
-class TestUtilizationReport:
-    def test_held_vs_busy_accounting(self, db):
-        clock = ManualClock()
-        pool = ConnectionPool(db, size=1, clock=clock.now)
-        connection = pool.acquire()
-        clock.advance(1.0)  # held but idle
-        connection.execute("SELECT v FROM t")  # zero manual-clock cost
-        clock.advance(1.0)
-        pool.release(connection)
-        report = pool.utilization_report()
-        assert report["held_seconds"] == pytest.approx(2.0)
-        assert report["busy_seconds"] == pytest.approx(0.0)
-        assert report["completed_checkouts"] == 1
-        assert report["acquires"] == 1
-        assert report["in_use"] == 0
-        assert report["size"] == 1
-
-    def test_busy_fraction_counts_query_time_only(self, db):
-        class TickingDatabase(Database):
-            """Every statement costs 0.25 manual-clock seconds."""
-
-            def __init__(self, manual):
-                super().__init__()
-                self._manual = manual
-
-            def execute_statement(self, statement, params=(),
-                                  connection_id=None):
-                self._manual.advance(0.25)
-                return super().execute_statement(
-                    statement, params, connection_id=connection_id
-                )
-
-        clock = ManualClock()
-        database = TickingDatabase(clock)
-        database.executescript("CREATE TABLE u (id INT PRIMARY KEY)")
-        pool = ConnectionPool(database, size=1, clock=clock.now)
-        connection = pool.acquire()
-        clock.advance(0.5)
-        connection.execute("SELECT id FROM u")
-        clock.advance(0.25)
-        pool.release(connection)
-        report = pool.utilization_report()
-        assert report["held_seconds"] == pytest.approx(1.0)
-        assert report["busy_seconds"] == pytest.approx(0.25)
-        assert report["busy_fraction"] == pytest.approx(0.25)
-
-    def test_in_flight_checkouts_not_counted(self, db):
-        clock = ManualClock()
-        pool = ConnectionPool(db, size=2, clock=clock.now)
-        held = pool.acquire()
-        clock.advance(5.0)
-        report = pool.utilization_report()
-        assert report["in_use"] == 1
-        assert report["held_seconds"] == 0.0
-        assert report["completed_checkouts"] == 0
-        pool.release(held)
-        assert pool.utilization_report()["held_seconds"] == pytest.approx(5.0)
-
-    def test_acquire_wait_summary_shape(self, db):
-        pool = ConnectionPool(db, size=1)
-        pool.release(pool.acquire())
-        wait = pool.utilization_report()["acquire_wait"]
-        assert wait["count"] == 1
-        assert set(wait) == {"count", "mean", "p50", "p95", "p99", "max"}
-
-    def test_empty_pool_report(self, db):
-        report = ConnectionPool(db, size=3).utilization_report()
-        assert report["busy_fraction"] == 0.0
-        assert report["acquire_wait"] == {"count": 0}
 
 
 class TestCostModels:

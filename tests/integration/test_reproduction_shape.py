@@ -149,6 +149,26 @@ class TestReserveDynamics:
         assert max(values) > min(values)
 
 
+class TestThroughputCounts:
+    def test_figure9_counts_each_request_once(self, runner):
+        """Every Figure 9 bucket is the static plus the dynamic bucket
+        of Figure 10, on both servers: a dynamic request counts once
+        toward the total, as a live completion does."""
+        figure10 = runner.figure10()
+        for side, overall in enumerate(runner.figure9()):
+            static = figure10["static"][side].values
+            dynamic = figure10["dynamic"][side].values
+            assert overall.values == [s + d for s, d in zip(static, dynamic)]
+
+    def test_dynamic_splits_into_quick_and_lengthy(self, runner):
+        figure10 = runner.figure10()
+        for side in (0, 1):
+            quick = figure10["quick"][side].values
+            lengthy = figure10["lengthy"][side].values
+            assert figure10["dynamic"][side].values == [
+                q + l for q, l in zip(quick, lengthy)]
+
+
 class TestGoldenExport:
     def test_export_json_is_byte_identical(self, runner):
         """The whole quick-preset document -- every table, series and

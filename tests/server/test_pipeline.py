@@ -328,14 +328,14 @@ class TestBackpressure:
         assert client.closed
         assert client.responses == []
 
-    def test_per_stage_max_queue_overrides_default(self):
+    def test_every_stage_takes_the_pipeline_bound(self):
         pipeline, _, _ = build_pipeline(
-            [Stage("a", 1, lambda job: DONE, max_queue=7),
+            [Stage("a", 1, lambda job: DONE),
              Stage("b", 1, lambda job: DONE)],
             "a", max_queue=3,
         )
         try:
-            assert pipeline.pool("a").max_queue == 7
+            assert pipeline.pool("a").max_queue == 3
             assert pipeline.pool("b").max_queue == 3
         finally:
             pipeline.shutdown()

@@ -1,4 +1,5 @@
-"""The lease layer: strategies, hook composition, concurrency safety."""
+"""The lease layer: strategies, worker hooks, the connection ledger,
+concurrency safety."""
 
 import random
 import threading
@@ -8,6 +9,12 @@ import pytest
 from repro.db.engine import Database
 from repro.db.errors import IntegrityError, ProgrammingError
 from repro.db.pool import ConnectionPool
+from repro.faults.plan import (
+    SITE_POOL_ACQUIRE,
+    FaultAction,
+    FaultPlan,
+    FaultRule,
+)
 from repro.server.app import Application
 from repro.server.resources import (
     DatabaseResource,
@@ -33,6 +40,36 @@ def make_manager(db, size=2, stats=None):
     pool = ConnectionPool(db, size=size)
     app = Application()
     return LeaseManager(pool, binder=app, stats=stats), pool, app
+
+
+class TickingDatabase(Database):
+    """Every statement costs 0.25 manual-clock seconds."""
+
+    def __init__(self, manual):
+        super().__init__()
+        self._manual = manual
+
+    def execute_statement(self, statement, params=(), connection_id=None):
+        self._manual.advance(0.25)
+        return super().execute_statement(
+            statement, params, connection_id=connection_id
+        )
+
+
+def manual_ledger(database=None):
+    """A lease manager, its pool, app and stats, all on one ManualClock.
+
+    Statements run on ``TickingDatabase`` unless ``database`` is given
+    (then they cost no clock time)."""
+    clock = ManualClock()
+    if database is None:
+        database = TickingDatabase(clock)
+        database.executescript("CREATE TABLE u (id INT PRIMARY KEY)")
+    stats = ServerStats(clock)
+    pool = ConnectionPool(database, size=2, clock=clock.now)
+    app = Application()
+    manager = LeaseManager(pool, binder=app, stats=stats, clock=clock)
+    return manager, app, stats, clock
 
 
 class TestAcquireRelease:
@@ -72,58 +109,6 @@ class TestPinnedHooks:
         assert manager.outstanding == 0
         with pytest.raises(RuntimeError):
             app.getconn()
-
-    def test_user_hooks_run_inside_lease(self, db):
-        manager, _, app = make_manager(db)
-        seen = []
-
-        def user_init():
-            seen.append(("init", app.getconn() is not None))
-
-        def user_cleanup():
-            seen.append(("cleanup", app.getconn() is not None))
-
-        init, cleanup = manager.worker_hooks(
-            "general", DatabaseResource(), user_init, user_cleanup
-        )
-        init()
-        cleanup()
-        # The lease is the first thing a worker gets and the last thing
-        # it gives back: both user hooks saw a bound connection.
-        assert seen == [("init", True), ("cleanup", True)]
-
-    def test_failing_user_init_releases_lease(self, db):
-        manager, pool, app = make_manager(db)
-
-        def exploding_init():
-            raise RuntimeError("boom")
-
-        init, _ = manager.worker_hooks(
-            "general", DatabaseResource(), exploding_init
-        )
-        with pytest.raises(RuntimeError):
-            init()
-        # ThreadPool does not run cleanup when init fails, so the init
-        # hook itself must not leak the connection.
-        assert pool.in_use == 0
-        assert manager.outstanding == 0
-        with pytest.raises(RuntimeError):
-            app.getconn()
-
-    def test_failing_user_cleanup_still_releases(self, db):
-        manager, pool, _ = make_manager(db)
-
-        def exploding_cleanup():
-            raise RuntimeError("boom")
-
-        init, cleanup = manager.worker_hooks(
-            "general", DatabaseResource(), None, exploding_cleanup
-        )
-        init()
-        with pytest.raises(RuntimeError):
-            cleanup()
-        assert pool.in_use == 0
-        assert manager.outstanding == 0
 
 
 class TestPerRequestScope:
@@ -315,5 +300,120 @@ class TestLeaseHammer:
         # Every lease that was granted was also returned and recorded.
         utilization = stats.connection_utilization()
         recorded = sum(entry["leases"] for entry in utilization.values())
-        assert recorded == pool.completed_checkouts == pool.total_acquires
+        assert recorded == pool.total_acquires
         assert pool.peak_in_use <= self.POOL_SIZE
+
+
+class TestConnectionLedger:
+    """Exact held/busy/wait accounting: ``LeaseManager`` feeding
+    ``ServerStats.connection_utilization()`` is the one connection
+    ledger, so every number here is checked on a ManualClock."""
+
+    def test_held_vs_busy_accounting(self, db):
+        manager, _, stats, clock = manual_ledger(db)
+        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        clock.advance(1.0)  # held but idle
+        lease.connection.execute("SELECT v FROM t")  # costs no clock time
+        clock.advance(1.0)
+        manager.release(lease)
+        entry = stats.connection_utilization()["general"]
+        assert entry["held_seconds"] == pytest.approx(2.0)
+        assert entry["busy_seconds"] == pytest.approx(0.0)
+        assert entry["busy_fraction"] == 0.0
+        assert entry["leases"] == 1
+        assert entry["strategy"] == "pinned"
+
+    def test_busy_fraction_counts_query_time_only(self):
+        manager, _, stats, clock = manual_ledger()
+        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        clock.advance(0.5)
+        lease.connection.execute("SELECT id FROM u")
+        clock.advance(0.25)
+        manager.release(lease)
+        entry = stats.connection_utilization()["general"]
+        assert entry["held_seconds"] == pytest.approx(1.0)
+        assert entry["busy_seconds"] == pytest.approx(0.25)
+        assert entry["busy_fraction"] == pytest.approx(0.25)
+
+    def test_in_flight_lease_not_counted(self, db):
+        manager, _, stats, clock = manual_ledger(db)
+        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        clock.advance(5.0)
+        assert stats.connection_utilization() == {}
+        manager.release(lease)
+        entry = stats.connection_utilization()["general"]
+        assert entry["held_seconds"] == pytest.approx(5.0)
+        assert entry["leases"] == 1
+
+    def test_acquire_wait_summary_shape(self, db):
+        manager, _, stats, _ = manual_ledger(db)
+        manager.release(manager.acquire("general", LeaseStrategy.PINNED))
+        wait = stats.connection_utilization()["general"]["acquire_wait"]
+        assert wait["count"] == 1
+        assert wait["max"] == 0.0
+        assert set(wait) == {"count", "mean", "p50", "p95", "p99", "max"}
+
+    def test_empty_report(self, db):
+        manager, _, stats, _ = manual_ledger(db)
+        assert stats.connection_utilization() == {}
+        # A lease held for no time at all divides by nothing.
+        manager.release(manager.acquire("general", LeaseStrategy.PINNED))
+        entry = stats.connection_utilization()["general"]
+        assert entry["held_seconds"] == 0.0
+        assert entry["busy_fraction"] == 0.0
+
+    def test_acquire_wait_is_time_spent_in_the_pool(self, db):
+        manager, _, stats, clock = manual_ledger(db)
+        manager.pool.faults = FaultPlan(
+            [FaultRule(SITE_POOL_ACQUIRE, FaultAction.DELAY, delay=0.5)],
+            clock=clock, sleeper=clock.advance,
+        )
+        lease = manager.acquire("general", LeaseStrategy.PINNED)
+        assert lease.wait_seconds == pytest.approx(0.5)
+        clock.advance(1.0)
+        manager.release(lease)
+        entry = stats.connection_utilization()["general"]
+        assert entry["acquire_wait"]["mean"] == pytest.approx(0.5)
+        # Held time starts at the grant, not at the request.
+        assert entry["held_seconds"] == pytest.approx(1.0)
+
+    def test_pinned_lease_spans_the_worker_lifetime(self):
+        manager, app, stats, clock = manual_ledger()
+        init, cleanup = manager.worker_hooks("general", DatabaseResource())
+        init()
+        clock.advance(3.0)  # the worker parses, renders, idles
+        app.getconn().execute("SELECT id FROM u")
+        clock.advance(0.75)
+        cleanup()
+        entry = stats.connection_utilization()["general"]
+        assert entry["held_seconds"] == pytest.approx(4.0)
+        assert entry["busy_seconds"] == pytest.approx(0.25)
+        assert entry["busy_fraction"] == pytest.approx(0.0625)
+
+    def test_per_request_lease_spans_the_handler(self):
+        manager, app, stats, clock = manual_ledger()
+        resource = DatabaseResource(strategy=LeaseStrategy.LEASED_PER_REQUEST)
+        clock.advance(2.0)  # before the handler: not held
+        with manager.request_scope("worker", resource):
+            clock.advance(1.0)
+            app.getconn().execute("SELECT id FROM u")
+        clock.advance(2.0)  # after the handler: not held
+        entry = stats.connection_utilization()["worker"]
+        assert entry["held_seconds"] == pytest.approx(1.25)
+        assert entry["busy_seconds"] == pytest.approx(0.25)
+
+    def test_per_query_leases_are_always_busy(self):
+        manager, app, stats, clock = manual_ledger()
+        init, cleanup = manager.worker_hooks(
+            "worker", DatabaseResource(strategy=LeaseStrategy.LEASED_PER_QUERY)
+        )
+        init()
+        connection = app.getconn()
+        connection.execute("SELECT id FROM u")
+        clock.advance(10.0)  # idle between statements: no lease held
+        connection.execute("SELECT id FROM u")
+        cleanup()
+        entry = stats.connection_utilization()["worker"]
+        assert entry["leases"] == 2
+        assert entry["held_seconds"] == pytest.approx(0.5)
+        assert entry["busy_fraction"] == pytest.approx(1.0)

@@ -1,5 +1,6 @@
 """ServerStats tests."""
 
+import sys
 import threading
 
 import pytest
@@ -114,15 +115,28 @@ class TestSimulatorEntryPoints:
         assert _count(stats) == 0
 
     def test_request_counts_label_and_total(self, stats):
-        stats.record_request("static")
-        stats.record_request("dynamic")
-        stats.record_request("quick")
+        stats.record_request(RequestClass.STATIC)
+        stats.record_request(RequestClass.QUICK_DYNAMIC)
         assert stats.completions() == {}
         assert _count(stats, "static") == 1.0
+        assert _count(stats, "dynamic") == 1.0
         assert _count(stats, "quick") == 1.0
-        # One call, one count toward the total: the simulator's
-        # dynamic request (two labels) counts twice there.
-        assert _count(stats) == 3.0
+        # Each request counts once toward the total (Figure 9), however
+        # many class labels it carries.
+        assert _count(stats) == 2.0
+
+    @pytest.mark.parametrize("request_class", list(RequestClass))
+    def test_request_counts_like_a_live_completion(self, request_class):
+        simulated, live = ServerStats(ManualClock()), ServerStats(ManualClock())
+        simulated.record_request(request_class)
+        live.record_completion("/a", request_class, 0.1)
+        for label in (None, "static", "dynamic", "quick", "lengthy"):
+            assert _count(simulated, label) == _count(live, label)
+
+    def test_plain_string_label_rejected(self, stats):
+        with pytest.raises(KeyError):
+            stats.record_request("dynamic")
+        assert _count(stats) == 0
 
 
 class TestSeries:
@@ -167,7 +181,7 @@ class TestSeries:
         clock = stats.clock
         for at in (30.0, 90.0, 130.0):
             clock.advance(at - clock.now())
-            stats.record_request("static")
+            stats.record_request(RequestClass.STATIC)
         series = stats.throughput_series(60.0, start=0.0, end=120.0)
         assert series.values == [1.0, 1.0]
         assert series.times == [0.0, 60.0]
@@ -301,3 +315,62 @@ class TestThreadSafety:
         assert stage["queue_wait"]["mean"] == pytest.approx(0.0625)
         assert stage["service"]["p99"] == pytest.approx(0.5)
         assert len(stats.queue_series()["general"]) == total
+
+    def test_summaries_read_while_recording(self):
+        """The accumulators take no lock of their own: every add and
+        every summary runs under the stats lock.  Readers racing the
+        writers must never see a torn accumulator, and nothing may be
+        lost."""
+        stats = ServerStats()
+        errors = []
+        writers_n, records_n = 4, 1000
+        done = threading.Event()
+        barrier = threading.Barrier(writers_n + 2)
+
+        def write(stage):
+            try:
+                barrier.wait(timeout=5)
+                for i in range(records_n):
+                    stats.record_stage_timing(stage, 0.001 * (i % 10), 0.5)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        def read():
+            try:
+                barrier.wait(timeout=5)
+                while not done.is_set():
+                    for entry in stats.stage_timing_summary().values():
+                        wait, service = entry["queue_wait"], entry["service"]
+                        assert wait["count"] == service["count"] > 0
+                        assert wait["p50"] <= wait["p99"] <= wait["max"]
+                        assert service["mean"] == pytest.approx(0.5)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        stages = ["header", "general"]
+        writers = [threading.Thread(target=write, args=(stages[i % 2],))
+                   for i in range(writers_n)]
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        # Switch threads far more often than the default 5 ms, so a
+        # reader lands between a writer's steps.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in writers + readers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30)
+            done.set()
+            for t in readers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        summary = stats.stage_timing_summary()
+        per_stage = writers_n // 2 * records_n
+        for stage in stages:
+            assert summary[stage]["queue_wait"]["count"] == per_stage
+            assert summary[stage]["service"]["count"] == per_stage
+            assert summary[stage]["queue_wait"]["max"] == pytest.approx(0.009)
+            assert summary[stage]["queue_wait"]["mean"] == pytest.approx(0.0045)
+

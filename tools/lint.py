@@ -14,7 +14,7 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   lease layer removed: a missed or doubled release corrupts the pool,
   and an unmetered checkout escapes the busy-fraction accounting.  The
   rule is deliberately broad (it also matches lock-manager and
-  simulated-pool acquires): every legitimate acquire lives in an
+  simulated thread-pool acquires): every legitimate acquire lives in an
   allow-listed resource module, so a new match is either a connection
   checkout that must become a lease or a resource primitive that
   belongs in one of those files.
@@ -25,11 +25,10 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   an injection surface nobody reviews as one.
 - ``metrics``: ``TimeSeries``, ``SummaryAccumulator`` and
   ``WelfordAccumulator`` are constructed only by ``util/timeseries.py``
-  and ``server/stats.py``, plus three allow-listed owners of their own
-  percentiles: the two connection pools (``db/pool.py``,
-  ``sim/resources.py``) and the client emulator (``tpcw/emulator.py``).
-  Every server metric goes through ``ServerStats``; a private ledger
-  elsewhere is the second sink that ``ServerStats`` replaced.
+  and ``server/stats.py``, plus the client emulator
+  (``tpcw/emulator.py``), which keeps its own client-side response
+  times.  Every server metric goes through ``ServerStats``; a private
+  ledger elsewhere is the second sink that ``ServerStats`` replaced.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -107,10 +106,8 @@ RULES = {rule.name: rule for rule in (
         os.path.join("repro", "db", "locks.py"),
         # THE lease layer — the one sanctioned ConnectionPool.acquire.
         os.path.join("repro", "server", "resources.py"),
-        # Simulated resources: SimThreadPool/SimConnectionPool.
-        os.path.join("repro", "sim", "resources.py"),
-        # The sim server acquires simulated *thread-pool* tokens; its
-        # connections go through SimConnectionPool.lease().
+        # The sim server acquires simulated *thread-pool* tokens; it
+        # models no connection pool (connections = leasing threads).
         os.path.join("repro", "sim", "server.py"),
     }), _uses_method("acquire"),
         "raw .acquire sites outside the resource layers (lease through "
@@ -125,9 +122,6 @@ RULES = {rule.name: rule for rule in (
         os.path.join("repro", "util", "timeseries.py"),
         # THE metric sink, live and simulated.
         os.path.join("repro", "server", "stats.py"),
-        # Pool-level acquire-wait percentiles (utilization_report()).
-        os.path.join("repro", "db", "pool.py"),
-        os.path.join("repro", "sim", "resources.py"),
         # The client emulator's own client-side response times.
         os.path.join("repro", "tpcw", "emulator.py"),
     }), _constructs("TimeSeries", "SummaryAccumulator",
