@@ -385,9 +385,13 @@ def build_lease_lab_app():
     @app.expose("/page")
     def page(v="x"):
         matched = 0
-        for _ in range(A7_DB_SCANS):  # ~0.1 s of genuine query work
+        for scan in range(A7_DB_SCANS):  # ~0.1 s of genuine query work
+            # Parameters no other scan repeats (no title equals them):
+            # the engine reuses a repeated SELECT's result without
+            # scanning again.
             result = app.getconn().execute(
                 "SELECT COUNT(*) FROM item WHERE title LIKE '%xyz%'"
+                " AND title <> %s", (f"{v}-{scan}",)
             )
             matched = result.fetchone()[0]
         return ("lab.html", {"matched": matched})

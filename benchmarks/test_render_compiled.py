@@ -52,15 +52,23 @@ def interpreted_engine():
     return OracleEngine(sources=dict(TEMPLATES))
 
 
-def best_time(fn, repeats=5, number=400):
-    """Best-of-N mean seconds per call (timeit-style)."""
-    fn()  # warm caches and code objects
-    best = float("inf")
+def best_times(*fns, repeats=5, number=400):
+    """Best-of-N mean CPU seconds per call of each function.
+
+    The functions run round by round, interleaved, and each round is
+    timed with ``time.process_time()``: a burst of load from another
+    process then lands on every side alike and is not counted as this
+    process's time, where wall-timing one side's rounds after the
+    other's let it skew the ratio."""
+    for fn in fns:
+        fn()  # warm caches and code objects
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - start) / number)
+        for i, fn in enumerate(fns):
+            start = time.process_time()
+            for _ in range(number):
+                fn()
+            best[i] = min(best[i], (time.process_time() - start) / number)
     return best
 
 
@@ -104,14 +112,13 @@ def test_compiled_speedup_and_export(pytestconfig):
     assert compiled.render("home.html", HOME_DATA) == \
         interpreted.render("home.html", HOME_DATA)
 
-    interpreted_s = best_time(
-        lambda: interpreted.render("home.html", HOME_DATA))
-    compiled_s = best_time(lambda: compiled.render("home.html", HOME_DATA))
-
     cached = compiled_engine()
     cached.enable_fragment_cache()
     cached.render_cached("home.html", HOME_DATA)
-    cached_s = best_time(lambda: cached.render_cached("home.html", HOME_DATA))
+    interpreted_s, compiled_s, cached_s = best_times(
+        lambda: interpreted.render("home.html", HOME_DATA),
+        lambda: compiled.render("home.html", HOME_DATA),
+        lambda: cached.render_cached("home.html", HOME_DATA))
 
     speedup = interpreted_s / compiled_s
     document = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel
@@ -10,14 +11,20 @@ from repro.db.errors import TableError
 from repro.db.locks import LockManager, LockMode, LockScope
 from repro.db.sql.ast import (
     Begin,
+    Between,
+    BinaryOp,
     Commit,
     CreateIndex,
     CreateTable,
     Delete,
+    InSubquery,
     Insert,
+    IsNull,
+    Like,
     Rollback,
     Select,
     Statement,
+    UnaryOp,
     Update,
 )
 from repro.db.sql.executor import Executor, Plan, ResultSet, compile_statement
@@ -28,6 +35,20 @@ from repro.db.transactions import TransactionManager
 #: Compiled plans kept before the plan cache starts over (it only grows
 #: past the statement cache when callers execute ad-hoc parsed ASTs).
 PLAN_CACHE_LIMIT = 4096
+#: SELECT results kept for reuse; past it the least recently used goes.
+RESULT_CACHE_LIMIT = 1024
+
+#: A plan cache entry: the statement (guarding against ``id`` reuse),
+#: its compiled plan, its table lock needs, and the schema version the
+#: plan was compiled against.
+_Compiled = Tuple[Statement, Plan, Dict[str, LockMode], int]
+#: A result cache entry: the statement, the versions of the tables it
+#: locks when the result was computed, the result's columns, rows and
+#: rowcount, and the ``(operation, count)`` charges that computed it, in
+#: order.  Every entry was computed under the current schema: a schema
+#: change clears them all.
+_Result = Tuple[Statement, Tuple, Tuple[str, ...], Tuple[Tuple, ...], int,
+                Tuple[Tuple[str, int], ...]]
 
 
 class Database:
@@ -52,9 +73,14 @@ class Database:
         #: owning server.
         self.faults = None
         self._statement_cache: Dict[str, Statement] = {}
-        #: id(statement) -> (statement, compiled plan), valid for the
+        #: id(statement) -> its :data:`_Compiled` entry, valid for the
         #: schema it was compiled against; see :meth:`_schema_changed`.
-        self._plan_cache: Dict[int, Tuple[Statement, Plan]] = {}
+        self._plan_cache: Dict[int, _Compiled] = {}
+        #: (id(statement), typed params) -> :data:`_Result`; see
+        #: :meth:`_select`.
+        self._results: "OrderedDict[Tuple, _Result]" = OrderedDict()
+        self._result_counts = dict.fromkeys(
+            ("hits", "misses", "refused", "evictions"), 0)
         self._schema_version = 0
         self._cache_lock = threading.Lock()
         self._schema_lock = threading.Lock()
@@ -100,29 +126,39 @@ class Database:
                 self._statement_cache.setdefault(sql, statement)
         return statement
 
-    def _plan(self, statement: Statement) -> Plan:
-        """The statement's compiled plan, compiled on first use."""
+    def _compiled(self, statement: Statement) -> _Compiled:
+        """The statement's plan and lock needs, computed on first use."""
         entry = self._plan_cache.get(id(statement))
         if entry is not None and entry[0] is statement:
-            return entry[1]
+            return entry
         version = self._schema_version
-        plan = compile_statement(statement, self.tables)
+        entry = (statement, compile_statement(statement, self.tables),
+                 self._lock_needs(statement), version)
         with self._cache_lock:
             # A plan compiled while the schema changed is used once,
             # not kept.
             if version == self._schema_version:
                 if len(self._plan_cache) >= PLAN_CACHE_LIMIT:
                     self._plan_cache.clear()
-                self._plan_cache[id(statement)] = (statement, plan)
-        return plan
+                self._plan_cache[id(statement)] = entry
+        return entry
 
     def _schema_changed(self) -> None:
-        """Drop every compiled plan: they bind the column layout of the
-        tables they read.  Called after each CREATE/DROP TABLE and
-        CREATE INDEX."""
+        """Drop every compiled plan, and every cached result with them:
+        plans bind the column layout of the tables they read.  Called
+        after each CREATE/DROP TABLE and CREATE INDEX."""
         with self._cache_lock:
             self._schema_version += 1
             self._plan_cache.clear()
+            self._results.clear()
+
+    def result_cache_stats(self) -> Dict[str, int]:
+        """SELECT result reuse: hits, misses (lookups that executed;
+        SELECTs with unhashable parameters skip the cache uncounted),
+        stores refused because a table changed mid-statement, LRU
+        evictions, and the entries held."""
+        with self._cache_lock:
+            return dict(self._result_counts, entries=len(self._results))
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Parse, lock, and run one statement.
@@ -163,11 +199,12 @@ class Database:
             # failing transaction control would break rollback paths
             # no real backend fails this way.
             self.faults.on_db_query()
+        _, plan, needs, schema = self._compiled(statement)
+        if isinstance(statement, Select):
+            return self._select(statement, params, plan, needs, schema)
         transaction = self.transactions.current(self._txn_key(connection_id))
         undo = transaction.undo if transaction is not None else None
         executor = Executor(self.tables, self.cost_model, undo)
-        plan = self._plan(statement)
-        needs = self._lock_needs(statement)
         with LockScope(self.locks, needs):
             if isinstance(statement, Insert):
                 with self._append_latch(statement.table):
@@ -178,6 +215,82 @@ class Database:
                 finally:
                     self._schema_changed()
             return executor.execute(statement, params, plan)
+
+    def _select(self, statement: Select, params: Sequence[Any], plan: Plan,
+                needs: Dict[str, LockMode], schema: int) -> ResultSet:
+        """Run a SELECT under its shared locks, or reuse its result.
+
+        A result is kept under ``(id(statement), params)``, each
+        parameter tagged by its type, with the
+        :attr:`~repro.db.table.Table.version` of every table the SELECT
+        locks, and reused while those versions are unchanged.  It is
+        kept only if the schema its plan was compiled against
+        (``schema``) is still current, and a schema change clears the
+        cache, so every entry belongs to the current schema.  A reuse
+        takes the same locks and replays the recorded charges, in order,
+        before settling their total, so the cost model counts, totals
+        and sleeps exactly what executing would have.
+
+        Why a reuse is never staler than executing: a table bumps its
+        version only after its change is visible, so a result stored at
+        version *v* saw every change whose bump came before it.  On a
+        miss the versions are read before and after executing, and the
+        result is stored only if they are equal, so a concurrent insert
+        (MyISAM's, which runs under a shared lock) that lands mid-scan
+        leaves nothing behind.  UPDATE and DELETE cannot run under the
+        shared locks held here.  That leaves a hit in the short window
+        between a racing insert becoming visible and its bump: it
+        returns the result without the new row, which is what a racing
+        reader executing the SELECT could also have returned.
+        """
+        key = _result_key(statement, params)
+        with LockScope(self.locks, needs):
+            versions = self._table_versions(needs)
+            if key is not None:
+                with self._cache_lock:
+                    entry = self._results.get(key)
+                    if (entry is not None and entry[0] is statement
+                            and entry[1] == versions):
+                        self._results.move_to_end(key)
+                        self._result_counts["hits"] += 1
+                    else:
+                        entry = None
+                        self._result_counts["misses"] += 1
+                if entry is not None:
+                    return self._replay(entry)
+            executor = Executor(self.tables, self.cost_model)
+            result = executor.execute(statement, params, plan)
+            if key is not None:
+                unchanged = self._table_versions(needs) == versions
+                with self._cache_lock:
+                    if unchanged and schema == self._schema_version:
+                        self._results[key] = (
+                            statement, versions, tuple(result.columns),
+                            tuple(result.rows), result.rowcount,
+                            tuple(executor.charges))
+                        self._results.move_to_end(key)
+                        if len(self._results) > RESULT_CACHE_LIMIT:
+                            self._results.popitem(last=False)
+                            self._result_counts["evictions"] += 1
+                    else:
+                        self._result_counts["refused"] += 1
+            return result
+
+    def _table_versions(self, needs: Dict[str, LockMode]) -> Tuple:
+        tables = self.tables
+        return tuple([tables[name].version if name in tables else None
+                      for name in needs])
+
+    def _replay(self, entry: _Result) -> ResultSet:
+        """Charge and settle a cached result's recorded cost; return a
+        copy of it (a new rows list over the shared row tuples)."""
+        cost = self.cost_model
+        total = 0.0
+        for operation, count in entry[5]:
+            total += cost.charge(operation, count)
+        cost.settle(total)
+        return ResultSet(columns=list(entry[2]), rows=list(entry[3]),
+                         rowcount=entry[4])
 
     def _rollback(self, connection_id: Optional[int]) -> int:
         """Roll back under exclusive locks on every touched table (undo
@@ -237,29 +350,14 @@ class Database:
         self._where_subquery_tables(select.having, needs)
 
     def _where_subquery_tables(self, expr, needs: Dict[str, LockMode]) -> None:
-        from repro.db.sql.ast import (
-            Between as _Between,
-            BinaryOp as _BinaryOp,
-            InSubquery as _InSubquery,
-            IsNull as _IsNull,
-            Like as _Like,
-            UnaryOp as _UnaryOp,
-        )
-
         if expr is None:
             return
-        if isinstance(expr, _InSubquery):
+        if isinstance(expr, InSubquery):
             self._select_read_tables(expr.subquery, needs)
-        elif isinstance(expr, _BinaryOp):
+        elif isinstance(expr, BinaryOp):
             self._where_subquery_tables(expr.left, needs)
             self._where_subquery_tables(expr.right, needs)
-        elif isinstance(expr, _UnaryOp):
-            self._where_subquery_tables(expr.operand, needs)
-        elif isinstance(expr, _Like):
-            self._where_subquery_tables(expr.operand, needs)
-        elif isinstance(expr, _Between):
-            self._where_subquery_tables(expr.operand, needs)
-        elif isinstance(expr, _IsNull):
+        elif isinstance(expr, (UnaryOp, Like, Between, IsNull)):
             self._where_subquery_tables(expr.operand, needs)
 
     # ------------------------------------------------------------------
@@ -275,6 +373,22 @@ class Database:
     def row_counts(self) -> Dict[str, int]:
         """Table name -> row count, for population sanity checks."""
         return {name: len(table) for name, table in self.tables.items()}
+
+
+def _result_key(statement: Statement, params: Sequence[Any]) -> Optional[Tuple]:
+    """The result cache key, or None if a parameter cannot be hashed.
+
+    Each parameter is tagged with its type, so ``1``, ``1.0`` and
+    ``True`` never share an entry; a float is keyed by its exact bits,
+    so ``0.0`` and ``-0.0`` do not either."""
+    key = (id(statement), tuple([
+        (value.__class__, value.hex() if value.__class__ is float else value)
+        for value in params]))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 def split_statements(script: str) -> List[str]:

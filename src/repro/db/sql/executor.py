@@ -74,12 +74,12 @@ class Executor:
     """Runs one statement's plan against a dict of tables.
 
     The instance carries that statement's state — its parameters, its
-    running cost, the active transaction's undo log, the subquery
-    cache — so each statement runs on its own executor and concurrent
-    statements never see each other's, while the compiled plan itself
-    is shared.  The executor holds no locks itself;
-    :class:`repro.db.engine.Database` wraps each call in the
-    appropriate :class:`LockScope`.
+    running cost and the charges that make it up, the active
+    transaction's undo log, the subquery cache — so each statement runs
+    on its own executor and concurrent statements never see each
+    other's, while the compiled plan itself is shared.  The executor
+    holds no locks itself; :class:`repro.db.engine.Database` wraps each
+    call in the appropriate :class:`LockScope`.
     """
 
     def __init__(self, tables: Dict[str, Table], cost: CostModel,
@@ -89,12 +89,16 @@ class Executor:
         self._undo = undo  # the active transaction's UndoLog, if any
         self._subquery_cache: Dict[Plan, frozenset] = {}
         self._statement_cost = 0.0
+        #: Every ``(operation, count)`` charged so far, in order: the
+        #: engine replays them when it reuses this statement's result.
+        self.charges: List[Tuple[str, int]] = []
         self.params: Sequence[Any] = ()
 
     def execute(self, statement: Statement, params: Sequence[Any] = (),
                 plan: Optional[Plan] = None) -> ResultSet:
         """Run ``statement``; ``plan`` is its compiled form, if cached."""
         self._statement_cost = self._cost.charge("statement")
+        self.charges = [("statement", 1)]
         if plan is None:
             plan = compile_statement(statement, self._tables)
         self.params = params
@@ -105,6 +109,7 @@ class Executor:
     def _charge(self, operation: str, count: int = 1) -> None:
         if count:
             self._statement_cost += self._cost.charge(operation, count)
+            self.charges.append((operation, count))
 
     def _table(self, name: str) -> Table:
         try:

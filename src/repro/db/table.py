@@ -138,6 +138,15 @@ class Table:
         self.last_internal_row_id = 0
         self._auto_counter = 0
         self._counter_lock = threading.Lock()
+        #: Bumped by every change to the rows or indexes, once the change
+        #: is visible; the engine's result cache keys SELECT results on
+        #: it.  The unlocked ``+= 1`` never loses a bump because a
+        #: table's writers are already serialised: INSERT by the
+        #: engine's per-table append latch, UPDATE and DELETE by the
+        #: exclusive table lock, rollback by exclusive locks on every
+        #: table; SQL CREATE INDEX is also a schema change, which the
+        #: engine versions on its own.
+        self.version = 0
         if self.primary_key is not None:
             self.create_index(f"pk_{name}", self.primary_key)
 
@@ -165,6 +174,7 @@ class Table:
         for row_id, row in self.rows.items():
             index.add(row[column], row_id)
         self.indexes[index_name] = index
+        self.version += 1
         return index
 
     def index_on(self, column: str) -> Optional[HashIndex]:
@@ -216,6 +226,7 @@ class Table:
         self.last_internal_row_id = row_id
         for index in self.indexes.values():
             index.add(row[index.column], row_id)
+        self.version += 1
         auto_columns = [c for c in self.columns if c.auto_increment]
         if auto_columns:
             return row[auto_columns[0].name]
@@ -223,30 +234,35 @@ class Table:
 
     def update_row(self, row_id: int, changes: Dict[str, Any]) -> None:
         row = self.rows[row_id]
-        for name, value in changes.items():
-            column = self.column(name)
-            new_value = column.check_value(value)
-            if column.primary_key and new_value != row[name]:
-                pk_index = self.index_on(name)
-                assert pk_index is not None
-                if pk_index.lookup(new_value):
-                    raise IntegrityError(
-                        f"duplicate primary key {new_value!r} in table "
-                        f"{self.name!r}"
-                    )
-            old_value = row[name]
-            if old_value == new_value:
-                continue
-            for index in self.indexes.values():
-                if index.column == name:
-                    index.remove(old_value, row_id)
-                    index.add(new_value, row_id)
-            row[name] = new_value
+        try:
+            for name, value in changes.items():
+                column = self.column(name)
+                new_value = column.check_value(value)
+                if column.primary_key and new_value != row[name]:
+                    pk_index = self.index_on(name)
+                    assert pk_index is not None
+                    if pk_index.lookup(new_value):
+                        raise IntegrityError(
+                            f"duplicate primary key {new_value!r} in table "
+                            f"{self.name!r}"
+                        )
+                old_value = row[name]
+                if old_value == new_value:
+                    continue
+                for index in self.indexes.values():
+                    if index.column == name:
+                        index.remove(old_value, row_id)
+                        index.add(new_value, row_id)
+                row[name] = new_value
+        finally:
+            # Also when a later column raises: the earlier ones changed.
+            self.version += 1
 
     def delete_row(self, row_id: int) -> None:
         row = self.rows.pop(row_id)
         for index in self.indexes.values():
             index.remove(row[index.column], row_id)
+        self.version += 1
 
     def scan(self) -> Iterator[Any]:
         """Iterate (row_id, row) pairs; snapshot to tolerate deletes."""

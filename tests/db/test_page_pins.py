@@ -5,7 +5,9 @@ fresh ``PopulationScale.default()`` database.  For every call the test
 compares the ``CostModel.counts()`` delta and the handler's returned
 data with ``page_pins.json``.  The cost charges are what the simulator's
 ``DEFAULT_PROFILES`` were calibrated from, so any executor change that
-moves them (or the rows, or their order) fails here.
+moves them (or the rows, or their order) fails here.  A page that wrote
+nothing runs a second time at once, so its SELECTs reuse their cached
+results; that repeat must match the same pin.
 
 Regenerate the file only for an intended change of plan or data::
 
@@ -67,32 +69,49 @@ CALLS: List[Tuple[str, Dict[str, str]]] = [
 ]
 
 
-def run_calls() -> List[Dict[str, Any]]:
-    """Run ``CALLS`` on a fresh default-scale database."""
+def run_calls(repeat_reads: bool = False) -> List[Dict[str, Any]]:
+    """Run ``CALLS`` on a fresh default-scale database.  With
+    ``repeat_reads``, each call that changed no table runs again at
+    once, and its record gains that repeat's record and how many
+    result-cache hits it made."""
     database = Database()
     create_schema(database)
     populate(database, PopulationScale.default())
     app = TPCWApplication(database)
     pool = ConnectionPool(database, size=1)
     cost = database.cost_model
+
+    def call(path, params):
+        before = cost.counts()
+        template, data = app.handler_for(path)(**params)
+        after = cost.counts()
+        return {
+            "path": path,
+            "params": params,
+            "template": template,
+            "counts": {op: after[op] - before[op] for op in after
+                       if after[op] != before[op]},
+            # A JSON round trip turns tuples into lists, exactly as the
+            # committed file stores them.
+            "data": json.loads(json.dumps(data)),
+        }
+
+    def versions():
+        return {name: table.version for name, table in database.tables.items()}
+
     records = []
     with pool.lease() as connection:
         app.bind_connection(connection)
         try:
             for path, params in CALLS:
-                before = cost.counts()
-                template, data = app.handler_for(path)(**params)
-                after = cost.counts()
-                records.append({
-                    "path": path,
-                    "params": params,
-                    "template": template,
-                    "counts": {op: after[op] - before[op] for op in after
-                               if after[op] != before[op]},
-                    # A JSON round trip turns tuples into lists, exactly
-                    # as the committed file stores them.
-                    "data": json.loads(json.dumps(data)),
-                })
+                written = versions()
+                record = call(path, params)
+                if repeat_reads and versions() == written:
+                    hits = database.result_cache_stats()["hits"]
+                    record["repeat"] = call(path, params)
+                    record["repeat_hits"] = (
+                        database.result_cache_stats()["hits"] - hits)
+                records.append(record)
         finally:
             app.bind_connection(None)
     return records
@@ -100,7 +119,7 @@ def run_calls() -> List[Dict[str, Any]]:
 
 @pytest.fixture(scope="module")
 def records():
-    return run_calls()
+    return run_calls(repeat_reads=True)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +139,19 @@ def test_page_charges_and_data_match(records, pinned, position):
     assert record["counts"] == expected["counts"], record["path"]
     assert record["template"] == expected["template"]
     assert record["data"] == expected["data"], record["path"]
+    if "repeat" in record:
+        repeat = record["repeat"]
+        # Every statement of the repeat is a reused SELECT.
+        assert record["repeat_hits"] == expected["counts"].get("statement", 0)
+        assert repeat["counts"] == expected["counts"], record["path"]
+        assert repeat["template"] == expected["template"]
+        assert repeat["data"] == expected["data"], record["path"]
+
+
+def test_read_only_pages_repeat(records):
+    """Every page but the writing ones is repeated from the cache."""
+    assert {r["path"] for r in records if "repeat" not in r} == {
+        "/shopping_cart", "/buy_request", "/buy_confirm", "/admin_response"}
 
 
 if __name__ == "__main__":

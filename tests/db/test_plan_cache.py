@@ -1,5 +1,6 @@
-"""Compiled-plan caching in the engine: compile once per statement,
-recompile after schema changes, share plans safely across threads."""
+"""Compiled-plan caching in the engine: compile once per statement (its
+plan and its table lock needs), recompile after schema changes, share
+plans safely across threads."""
 
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 from repro.db import engine as engine_module
 from repro.db.engine import Database
 from repro.db.errors import ColumnError, TableError
+from repro.db.locks import LockMode
 from repro.db.table import Column
 
 
@@ -55,6 +57,25 @@ def test_create_index_recompiles_and_the_plan_uses_it(db, compiles):
     counts = db.cost_model.counts()
     assert (counts["row_scan"], counts["index_probe"]) == (0, 1)
     assert len(compiles) == 3  # SELECT, CREATE INDEX, SELECT again
+
+
+def test_lock_needs_are_computed_with_the_plan(db, monkeypatch):
+    calls = []
+    real = Database._lock_needs
+
+    def counting(self, statement):
+        calls.append(statement)
+        return real(self, statement)
+
+    monkeypatch.setattr(Database, "_lock_needs", counting)
+    sql = "UPDATE t SET v = %s WHERE id IN (SELECT id FROM t WHERE v = %s)"
+    for value in range(3):
+        db.execute(sql, (value, value % 2))
+    assert len(calls) == 1
+    assert db._compiled(db.prepare(sql))[2] == {"t": LockMode.EXCLUSIVE}
+    db.execute("CREATE INDEX idx_v ON t (v)")
+    db.execute(sql, (0, 1))
+    assert len(calls) == 3  # UPDATE, CREATE INDEX, UPDATE again
 
 
 def test_recreated_table_binds_its_new_columns(db):

@@ -18,6 +18,10 @@ NULLs.  Two things are kept out of the generated space on purpose:
 Row order is compared only where ORDER BY fixes it: rows with equal
 ORDER BY keys may come in any order, and LIMIT may cut such a tie
 anywhere.
+
+Each SELECT runs again after a generated INSERT, UPDATE or DELETE, and
+must match sqlite again: a result the engine reused from before the
+write would not.
 """
 
 import collections
@@ -40,11 +44,11 @@ PATTERNS = ["a%", "%b", "_b", "%", "A_c", "b%b", "%a%", "", "__"]
 PARAM = "\x00"
 
 ints = st.integers(min_value=0, max_value=4)
-rows_of = st.lists(
-    st.tuples(st.sampled_from([0, 1, 2, 3, None]),
-              st.sampled_from([0, 1, 2, 3, 4, None]), st.sampled_from(TEXTS)),
-    min_size=3, max_size=8,
-)
+#: ``(k, v, s)`` of one row.
+row_values = st.tuples(st.sampled_from([0, 1, 2, 3, None]),
+                       st.sampled_from([0, 1, 2, 3, 4, None]),
+                       st.sampled_from(TEXTS))
+rows_of = st.lists(row_values, min_size=3, max_size=8)
 
 
 class Query:
@@ -192,6 +196,33 @@ def selects(draw):
     return text, query.params, positions, limit, offset
 
 
+@st.composite
+def writes(draw):
+    """``(sql, params)`` of one INSERT, UPDATE or DELETE, in the engine's
+    placeholder style; an INSERT's id is a ``{id}`` slot."""
+    table = draw(st.sampled_from(TABLES))
+    kind = draw(st.sampled_from(["insert", "update", "delete"]))
+    if kind == "insert":
+        return (f"INSERT INTO {table} (id, k, v, s) VALUES ({{id}}, %s, %s, %s)",
+                list(draw(row_values)))
+    where_column = draw(st.sampled_from(["id", "k", "v"]))
+    where = f" WHERE {where_column} = %s"
+    if kind == "delete":
+        return f"DELETE FROM {table}{where}", [draw(ints)]
+    column = draw(st.sampled_from(["k", "v", "s"]))
+    value = draw(st.sampled_from(TEXTS) if column == "s"
+                 else st.sampled_from([0, 1, 2, 3, 4, None]))
+    return f"UPDATE {table} SET {column} = %s{where}", [value, draw(ints)]
+
+
+def apply_write(database, lite, write, fresh_id):
+    """The same write in both databases."""
+    sql, params = write
+    sql = sql.format(id=fresh_id)
+    database.execute(sql, params)
+    lite.execute(sql.replace("%s", "?"), params)
+
+
 def load(data):
     """The same tables in the engine and in sqlite."""
     database = Database()
@@ -221,11 +252,14 @@ def _row_rank(row):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(data=st.fixed_dictionaries({table: rows_of for table in TABLES}),
-       queries=st.lists(selects(), min_size=1, max_size=4))
+       queries=st.lists(st.tuples(selects(), writes()), min_size=1,
+                        max_size=4))
 def test_select_matches_sqlite(data, queries):
     database, lite = load(data)
     with contextlib.closing(lite):
-        for select in queries:
+        for fresh_id, (select, write) in enumerate(queries, 100):
+            assert_matches(database, lite, *select)
+            apply_write(database, lite, write, fresh_id)
             assert_matches(database, lite, *select)
 
 

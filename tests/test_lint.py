@@ -32,6 +32,10 @@ CASES = {
         "from repro.util import timeseries\n\n"
         "LEDGER = timeseries.TimeSeries('completions')\n", 3,
     ),
+    "table-rows": (
+        os.path.join("repro", "db", "rogue.py"),
+        "def f(table, row_id):\n    del table.rows[row_id]\n", 2,
+    ),
     "sleep-free": (
         "test_rogue.py",
         "import time\n\ndef test_x():\n    time.sleep(0.5)\n", 4,
@@ -54,6 +58,11 @@ CLEAN_SOURCES = {
                "doc = 'SummaryAccumulator()'\n"
                "def trace(stats) -> TimeSeries:\n"
                "    return stats.series('tspare')\n",
+    "table-rows": "# never del table.rows[row_id]\n"
+                  "doc = 'table.rows.clear()'\nrows = table.rows\n"
+                  "first = table.rows[1]\nresult.rows.append(row)\n"
+                  "local = {}\nlocal[1] = 2\nlocal.pop(1)\n"
+                  "row_ids = list(table.rows.keys())\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
                   "    clock.advance(5.0)\n",
@@ -83,7 +92,8 @@ class TestFindViolations:
         # metrics forbids construction, so its use is a call.
         attribute = {"submit": "pool.submit", "acquire": "pool.acquire",
                      "codegen": "eval", "sleep-free": "time.sleep",
-                     "metrics": "WelfordAccumulator()"}[name]
+                     "metrics": "WelfordAccumulator()",
+                     "table-rows": "table.rows.pop"}[name]
         write(tmp_path, "alias.py", f"x = 1\nwait = {attribute}\n")
         assert [v[1] for v in find_violations(RULES[name],
                                               str(tmp_path))] == [2]
@@ -123,6 +133,22 @@ def test_sleep_imported_from_time_counts(tmp_path):
           "from time import sleep\n\ndef test_x():\n    sleep(1)\n")
     violations = find_violations(RULES["sleep-free"], str(tmp_path))
     assert [v[1] for v in violations] == [1]
+
+
+@pytest.mark.parametrize("statement", [
+    "table.rows[row_id] = row",
+    "self.rows[row_id] += 1",
+    "del table.rows[row_id]",
+    "table.rows.pop(row_id)",
+    "table.rows.popitem()",
+    "table.rows.clear()",
+    "table.rows.update(other)",
+    "table.rows.setdefault(row_id, row)",
+])
+def test_every_rows_mutation_counts(statement, tmp_path):
+    write(tmp_path, "rogue.py", f"x = 1\n{statement}\n")
+    violations = find_violations(RULES["table-rows"], str(tmp_path))
+    assert [v[1] for v in violations] == [2]
 
 
 def test_exit_zero_on_clean_repo():

@@ -29,6 +29,12 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   (``tpcw/emulator.py``), which keeps its own client-side response
   times.  Every server metric goes through ``ServerStats``; a private
   ledger elsewhere is the second sink that ``ServerStats`` replaced.
+- ``table-rows``: only ``db/table.py`` mutates a table's ``.rows``
+  (a subscript store or ``del``, or ``.pop``, ``.popitem``, ``.clear``,
+  ``.update`` or ``.setdefault`` on it).  ``Table``'s methods bump
+  ``Table.version`` with every change, and the engine's result cache
+  trusts that version: a write that bypasses them serves stale
+  results.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -72,6 +78,21 @@ def _uses_builtin(*names: str) -> Callable[[ast.AST], bool]:
         return (isinstance(node, ast.Name) and node.id in names
                 and isinstance(node.ctx, ast.Load))
     return match
+
+
+#: dict methods that change the dict in place.
+_DICT_MUTATORS = frozenset({"pop", "popitem", "clear", "update", "setdefault"})
+
+
+def _is_rows(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+def _mutates_rows(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, (ast.Store, ast.Del)) and _is_rows(node.value)
+    return (isinstance(node, ast.Attribute) and node.attr in _DICT_MUTATORS
+            and _is_rows(node.value))
 
 
 def _constructs(*names: str) -> Callable[[ast.AST], bool]:
@@ -128,6 +149,11 @@ RULES = {rule.name: rule for rule in (
                     "WelfordAccumulator"),
         "metric containers built outside the metric sink (record into "
         "repro.server.stats.ServerStats)"),
+    Rule("table-rows", "src", frozenset({
+        os.path.join("repro", "db", "table.py"),
+    }), _mutates_rows,
+        "table rows mutated outside db/table.py (go through Table.insert, "
+        "update_row or delete_row, which bump Table.version)"),
     Rule("sleep-free", os.path.join("tests", "chaos"), frozenset(),
          _uses_time_sleep,
          "time.sleep in the chaos suite (drive the ManualClock or sim "
