@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -11,20 +12,14 @@ from repro.db.errors import TableError
 from repro.db.locks import LockManager, LockMode, LockScope
 from repro.db.sql.ast import (
     Begin,
-    Between,
-    BinaryOp,
     Commit,
     CreateIndex,
     CreateTable,
     Delete,
-    InSubquery,
     Insert,
-    IsNull,
-    Like,
     Rollback,
     Select,
     Statement,
-    UnaryOp,
     Update,
 )
 from repro.db.sql.executor import Executor, Plan, ResultSet, compile_statement
@@ -36,6 +31,8 @@ from repro.db.transactions import TransactionManager
 #: past the statement cache when callers execute ad-hoc parsed ASTs).
 PLAN_CACHE_LIMIT = 4096
 #: SELECT results kept for reuse; past it the least recently used goes.
+#: Sized by measurement (DESIGN §3.8, *Result reuse*): 256 entries lost
+#: throughput on the browsing mix, 4096 gained none over this.
 RESULT_CACHE_LIMIT = 1024
 
 #: A plan cache entry: the statement (guarding against ``id`` reuse),
@@ -319,46 +316,18 @@ class Database:
             return latch
 
     def _lock_needs(self, statement: Statement) -> Dict[str, LockMode]:
-        if isinstance(statement, Select):
-            needs: Dict[str, LockMode] = {}
-            self._select_read_tables(statement, needs)
-            return needs
         if isinstance(statement, Insert):
             # MyISAM concurrent insert: readers keep reading.
-            return {statement.table: LockMode.SHARED}
-        if isinstance(statement, Update):
+            needs = {statement.table: LockMode.SHARED}
+        elif isinstance(statement, (Update, Delete)):
             needs = {statement.table: LockMode.EXCLUSIVE}
-            self._where_subquery_tables(statement.where, needs)
-            return needs
-        if isinstance(statement, Delete):
-            needs = {statement.table: LockMode.EXCLUSIVE}
-            self._where_subquery_tables(statement.where, needs)
-            return needs
-        if isinstance(statement, (CreateTable, CreateIndex)):
+        elif isinstance(statement, Select):
+            needs = {}
+        else:
             # Schema changes serialise on the schema lock instead.
             return {}
-        return {}
-
-    def _select_read_tables(self, select: Select,
-                            needs: Dict[str, LockMode]) -> None:
-        """Shared locks for a SELECT, including IN (SELECT ...) tables."""
-        if select.table is not None:
-            needs.setdefault(select.table, LockMode.SHARED)
-        for join in select.joins:
-            needs.setdefault(join.table, LockMode.SHARED)
-        self._where_subquery_tables(select.where, needs)
-        self._where_subquery_tables(select.having, needs)
-
-    def _where_subquery_tables(self, expr, needs: Dict[str, LockMode]) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, InSubquery):
-            self._select_read_tables(expr.subquery, needs)
-        elif isinstance(expr, BinaryOp):
-            self._where_subquery_tables(expr.left, needs)
-            self._where_subquery_tables(expr.right, needs)
-        elif isinstance(expr, (UnaryOp, Like, Between, IsNull)):
-            self._where_subquery_tables(expr.operand, needs)
+        _read_tables(statement, needs)
+        return needs
 
     # ------------------------------------------------------------------
     def executescript(self, script: str) -> None:
@@ -373,6 +342,29 @@ class Database:
     def row_counts(self) -> Dict[str, int]:
         """Table name -> row count, for population sanity checks."""
         return {name: len(table) for name, table in self.tables.items()}
+
+
+def _read_tables(node: Any, needs: Dict[str, LockMode]) -> None:
+    """Add a shared need for every table a SELECT within ``node`` reads.
+
+    The walk visits every field of every AST node, so it finds an
+    ``IN (SELECT ...)`` wherever the parser accepts an expression: the
+    select list, WHERE, GROUP BY, HAVING, ORDER BY, aggregate arguments,
+    IN lists, BETWEEN bounds, LIKE patterns, INSERT values and UPDATE
+    assignments.  Result reuse depends on it: a cached result is valid
+    only while the tables found here are unchanged.
+    """
+    if isinstance(node, Select):
+        if node.table is not None:
+            needs.setdefault(node.table, LockMode.SHARED)
+        for join in node.joins:
+            needs.setdefault(join.table, LockMode.SHARED)
+    if isinstance(node, tuple):
+        for child in node:
+            _read_tables(child, needs)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            _read_tables(getattr(node, field.name), needs)
 
 
 def _result_key(statement: Statement, params: Sequence[Any]) -> Optional[Tuple]:

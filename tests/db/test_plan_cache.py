@@ -78,6 +78,20 @@ def test_lock_needs_are_computed_with_the_plan(db, monkeypatch):
     assert len(calls) == 3  # UPDATE, CREATE INDEX, UPDATE again
 
 
+@pytest.mark.parametrize("sql, needs", [
+    ("SELECT id IN (SELECT id FROM u) FROM t",
+     {"t": LockMode.SHARED, "u": LockMode.SHARED}),
+    ("UPDATE t SET v = id IN (SELECT id FROM u) WHERE id = 1",
+     {"t": LockMode.EXCLUSIVE, "u": LockMode.SHARED}),
+    ("INSERT INTO t (id, v) VALUES (9, 1 IN (SELECT id FROM u))",
+     {"t": LockMode.SHARED, "u": LockMode.SHARED}),
+])
+def test_lock_needs_reach_subqueries_outside_where(db, sql, needs):
+    db.execute("CREATE TABLE u (id INT PRIMARY KEY)")
+    db.execute(sql)
+    assert db._compiled(db.prepare(sql))[2] == needs
+
+
 def test_recreated_table_binds_its_new_columns(db):
     sql = "SELECT w FROM t"
     with pytest.raises(ColumnError):

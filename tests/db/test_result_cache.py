@@ -186,11 +186,33 @@ class TestInvalidation:
         db.execute(SCAN, (1,))
         assert stats(db)["hits"] == 1
 
-    def test_subquery_table_write_invalidates(self, db):
-        sql = "SELECT name FROM t WHERE id IN (SELECT id FROM u)"
-        assert db.execute(sql).rows == []
-        db.execute("INSERT INTO u (id, w) VALUES (2, 1)")
-        assert db.execute(sql).rows == [("gamma",)]
+    @pytest.mark.parametrize("sql", [
+        "SELECT name FROM t WHERE id IN (SELECT id FROM u)",
+        "SELECT id, id IN (SELECT id FROM u) FROM t ORDER BY id",
+        "SELECT name FROM t ORDER BY id IN (SELECT id FROM u), id",
+        "SELECT COUNT(*) FROM t GROUP BY id IN (SELECT id FROM u)",
+        "SELECT SUM(id IN (SELECT id FROM u)) FROM t",
+        "SELECT v FROM t GROUP BY v HAVING MAX(v) IN (SELECT w FROM u)",
+        "SELECT name FROM t WHERE 1 IN (id IN (SELECT id FROM u), 2)",
+        "SELECT name FROM t WHERE (id IN (SELECT id FROM u)) IN (1)",
+        "SELECT name FROM t WHERE id BETWEEN (id IN (SELECT id FROM u)) "
+        "+ id AND 9",
+        "SELECT name FROM t WHERE 'True' LIKE (id IN (SELECT id FROM u))",
+        "SELECT name FROM t WHERE id IN "
+        "(SELECT id FROM t WHERE id IN (SELECT id FROM u))",
+    ], ids=["where", "select-list", "order-by", "group-by", "aggregate",
+            "having", "in-list", "in-operand", "between", "like", "nested"])
+    def test_subquery_table_write_invalidates(self, db, sql):
+        """A subquery's table is read wherever the parser accepts one, so
+        a write to it must invalidate wherever it sits."""
+        before = db.execute(sql).rows
+        write = "INSERT INTO u (id, w) VALUES (2, 1)"
+        db.execute(write)
+        uncached = make_db()
+        uncached.execute(write)
+        expected = uncached.execute(sql).rows
+        assert expected != before
+        assert db.execute(sql).rows == expected
         assert stats(db)["hits"] == 0
 
 

@@ -3,7 +3,8 @@
 
 The statements cover 0–3 inner and LEFT joins on indexed and
 unindexed columns; WHERE with AND/OR/NOT, comparisons, LIKE, IN lists,
-IN subqueries, BETWEEN and IS NULL, with parameters; GROUP BY, HAVING
+IN subqueries, BETWEEN and IS NULL, with parameters; IN subqueries in
+the select list; GROUP BY, HAVING
 and aggregates; DISTINCT; and ORDER BY … LIMIT/OFFSET.  The tables hold
 NULLs.  Two things are kept out of the generated space on purpose:
 
@@ -75,6 +76,14 @@ class Query:
         nullable = name != "id" or self.aliases[alias]
         return f"{alias}.{name}", nullable
 
+    def subquery(self):
+        """``(SELECT id FROM ...)``, optionally filtered."""
+        table = self.draw(st.sampled_from(TABLES))
+        where = self.draw(st.sampled_from(
+            ["", " WHERE v > {}", " WHERE s LIKE 'a%'", " WHERE k = {}"]))
+        where = where.format(self.value(ints)) if "{}" in where else where
+        return f"(SELECT id FROM {table}{where})"
+
     def predicate(self, depth):
         """``(sql, nullable)`` of a WHERE predicate."""
         kind = self.draw(st.sampled_from(
@@ -118,12 +127,7 @@ class Query:
                        for _ in range(self.draw(st.integers(1, 3)))]
             return f"{column} {negated}IN ({', '.join(options)})", nullable
         if kind == "in_subquery":
-            table = self.draw(st.sampled_from(TABLES))
-            where = self.draw(st.sampled_from(
-                ["", " WHERE v > {}", " WHERE s LIKE 'a%'", " WHERE k = {}"]))
-            where = where.format(self.value(ints)) if "{}" in where else where
-            return (f"{column} {negated}IN (SELECT id FROM {table}{where})",
-                    nullable)
+            return f"{column} {negated}IN {self.subquery()}", nullable
         low = self.draw(ints)
         high = self.draw(st.integers(min_value=low, max_value=5))
         return f"{column} {negated}BETWEEN {low} AND {high}", nullable
@@ -178,6 +182,10 @@ def selects(draw):
             query.column()[0]) for _ in range(draw(st.integers(1, 3)))]
         if draw(st.booleans()):
             items.append(query.column(("s",))[0])
+        if draw(st.booleans()):
+            # A subquery outside WHERE: its table must still invalidate
+            # a reused result.  ``a0.id`` is never NULL.
+            items.append(f"a0.id IN {query.subquery()}")
     distinct = "DISTINCT " if draw(st.booleans()) else ""
     positions, limit, offset = [], None, None
     if draw(st.booleans()):

@@ -62,7 +62,9 @@ CLEAN_SOURCES = {
                   "doc = 'table.rows.clear()'\nrows = table.rows\n"
                   "first = table.rows[1]\nresult.rows.append(row)\n"
                   "local = {}\nlocal[1] = 2\nlocal.pop(1)\n"
-                  "row_ids = list(table.rows.keys())\n",
+                  "row_ids = list(table.rows.keys())\n"
+                  "value = table.rows[1]['v']\n"
+                  "copy = dict(table.rows.get(1))\ncopy['v'] = 2\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
                   "    clock.advance(5.0)\n",
@@ -144,6 +146,11 @@ def test_sleep_imported_from_time_counts(tmp_path):
     "table.rows.clear()",
     "table.rows.update(other)",
     "table.rows.setdefault(row_id, row)",
+    "table.rows[row_id][column] = value",
+    "table.rows[row_id][column] += 1",
+    "del table.rows[row_id][column]",
+    "table.rows[row_id].update(changes)",
+    "table.rows.get(row_id).pop(column)",
 ])
 def test_every_rows_mutation_counts(statement, tmp_path):
     write(tmp_path, "rogue.py", f"x = 1\n{statement}\n")

@@ -29,12 +29,17 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   (``tpcw/emulator.py``), which keeps its own client-side response
   times.  Every server metric goes through ``ServerStats``; a private
   ledger elsewhere is the second sink that ``ServerStats`` replaced.
-- ``table-rows``: only ``db/table.py`` mutates a table's ``.rows``
-  (a subscript store or ``del``, or ``.pop``, ``.popitem``, ``.clear``,
-  ``.update`` or ``.setdefault`` on it).  ``Table``'s methods bump
-  ``Table.version`` with every change, and the engine's result cache
-  trusts that version: a write that bypasses them serves stale
-  results.
+- ``table-rows``: only ``db/table.py`` mutates a table's ``.rows`` or
+  a row dict reached from it (a subscript store or ``del``, or
+  ``.pop``, ``.popitem``, ``.clear``, ``.update`` or ``.setdefault``,
+  on ``table.rows``, ``table.rows[rid]`` or ``table.rows.get(rid)``).
+  ``Table``'s methods bump ``Table.version`` with every change, and the
+  engine's result cache trusts that version: a write that bypasses them
+  serves stale results.  The rule reads expressions, not values, so it
+  cannot see a write through a name bound earlier (``rows =
+  table.rows; rows[k] = v``, or a row dict taken from ``Table.scan()``),
+  nor a rebinding of ``.rows`` itself (``ResultSet`` has a ``rows``
+  attribute too).  Those stay a review matter.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -88,11 +93,23 @@ def _is_rows(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "rows"
 
 
+def _reaches_rows(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``.rows`` or is reached from one through
+    subscripts, attributes and calls (``table.rows[rid]``,
+    ``table.rows.get(rid)``): the rows dict or a live row dict in it."""
+    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+        if _is_rows(node):
+            return True
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return False
+
+
 def _mutates_rows(node: ast.AST) -> bool:
     if isinstance(node, ast.Subscript):
-        return isinstance(node.ctx, (ast.Store, ast.Del)) and _is_rows(node.value)
+        return (isinstance(node.ctx, (ast.Store, ast.Del))
+                and _reaches_rows(node.value))
     return (isinstance(node, ast.Attribute) and node.attr in _DICT_MUTATORS
-            and _is_rows(node.value))
+            and _reaches_rows(node.value))
 
 
 def _constructs(*names: str) -> Callable[[ast.AST], bool]:
