@@ -77,7 +77,8 @@ class Database:
         #: :meth:`_select`.
         self._results: "OrderedDict[Tuple, _Result]" = OrderedDict()
         self._result_counts = dict.fromkeys(
-            ("hits", "misses", "refused", "evictions"), 0)
+            ("hits", "misses", "refused", "evictions", "product_hits",
+             "product_misses", "product_refused"), 0)
         self._schema_version = 0
         self._cache_lock = threading.Lock()
         self._schema_lock = threading.Lock()
@@ -153,9 +154,21 @@ class Database:
         """SELECT result reuse: hits, misses (lookups that executed;
         SELECTs with unhashable parameters skip the cache uncounted),
         stores refused because a table changed mid-statement, LRU
-        evictions, and the entries held."""
+        evictions, and the entries held.  Join products (see
+        :func:`repro.db.sql.executor._compile_scan`): ``product_hits``
+        (scans that reused one), ``product_misses`` (full-scan joins that
+        built one) and ``product_refused`` (builds not kept because a
+        table changed mid-build)."""
         with self._cache_lock:
             return dict(self._result_counts, entries=len(self._results))
+
+    def _count_products(self, executor: Executor) -> None:
+        """Add a finished statement's join-product events to the
+        counters."""
+        if executor.product_reuse:
+            with self._cache_lock:
+                for event in executor.product_reuse:
+                    self._result_counts[event] += 1
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Parse, lock, and run one statement.
@@ -202,16 +215,19 @@ class Database:
         transaction = self.transactions.current(self._txn_key(connection_id))
         undo = transaction.undo if transaction is not None else None
         executor = Executor(self.tables, self.cost_model, undo)
-        with LockScope(self.locks, needs):
-            if isinstance(statement, Insert):
-                with self._append_latch(statement.table):
-                    return executor.execute(statement, params, plan)
-            if isinstance(statement, (CreateTable, CreateIndex)):
-                try:
-                    return executor.execute(statement, params, plan)
-                finally:
-                    self._schema_changed()
-            return executor.execute(statement, params, plan)
+        try:
+            with LockScope(self.locks, needs):
+                if isinstance(statement, Insert):
+                    with self._append_latch(statement.table):
+                        return executor.execute(statement, params, plan)
+                if isinstance(statement, (CreateTable, CreateIndex)):
+                    try:
+                        return executor.execute(statement, params, plan)
+                    finally:
+                        self._schema_changed()
+                return executor.execute(statement, params, plan)
+        finally:
+            self._count_products(executor)
 
     def _select(self, statement: Select, params: Sequence[Any], plan: Plan,
                 needs: Dict[str, LockMode], schema: int) -> ResultSet:
@@ -256,7 +272,10 @@ class Database:
                 if entry is not None:
                     return self._replay(entry)
             executor = Executor(self.tables, self.cost_model)
-            result = executor.execute(statement, params, plan)
+            try:
+                result = executor.execute(statement, params, plan)
+            finally:
+                self._count_products(executor)
             if key is not None:
                 unchanged = self._table_versions(needs) == versions
                 with self._cache_lock:

@@ -9,8 +9,9 @@ the TPC-W fast/slow page dichotomy emerges.
 expression is compiled to Python source over row locals ``r0, r1, ...``
 (one row dict per FROM/JOIN alias) and parameters ``P``; bound values
 never enter that source, they are namespace constants.  A SELECT's
-scan, joins and WHERE become one generated function of nested loops
-(see :func:`_compile_scan`); every other expression — projections,
+scan and joins become one generated function of nested loops, and its
+WHERE a generated filter over what they produce (see
+:func:`_compile_scan`); every other expression — projections,
 grouping, ORDER BY, LIMIT, INSERT values, UPDATE SET/WHERE — becomes a
 small generated function ``f(env, run)``, ``env`` a tuple of row dicts
 and ``run`` the :class:`Executor` carrying the parameters.  What the
@@ -81,6 +82,11 @@ class Executor:
     holds no locks itself; :class:`repro.db.engine.Database` wraps each
     call in the appropriate :class:`LockScope`.
     """
+
+    #: ``"product_hits"``, ``"product_misses"`` and ``"product_refused"``
+    #: events of the join products this statement's scans looked up (see
+    #: :func:`_compile_scan`), for the engine's counters.
+    product_reuse: Tuple[str, ...] = ()
 
     def __init__(self, tables: Dict[str, Table], cost: CostModel,
                  undo=None):
@@ -277,18 +283,99 @@ def _compile_select(select: Select, gen: _Codegen) -> Plan:
 
 def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
                   gen: _Codegen) -> Callable[[Executor], List[Env]]:
-    """The driving rows (an index probe or a charged scan), each join,
-    and WHERE, as one generated function: the driving rows are the
-    outer ``for``, each join a nested ``for`` over its bucket, WHERE the
-    innermost test, and only the rows that pass it become envs.
+    """The driving rows (an index probe or a charged scan) and each join
+    as one generated function that builds the *product*, one env per
+    joined row, and WHERE as a second that filters it: the driving rows
+    are the outer ``for``, each join a nested ``for`` over its bucket.
 
-    Depth-first, this emits envs in the order a join-at-a-time
-    evaluation would, and its per-join probe/match totals are the same;
-    each operator is charged once, with its total, after the loop."""
+    Depth-first, the product is in the order a join-at-a-time
+    evaluation would emit, the filter keeps that order, and the per-join
+    probe/match totals are the same.  Each operator is charged once,
+    with its total: the driving scan before the loop, then each join's
+    build scan, probes and matches after the filter, so a WHERE that
+    raises leaves only the driving charges.
+
+    *Join reuse.*  A product built from a full scan of the driving
+    table, with at least one join, reads no parameter.  The plan keeps
+    the latest such product in one slot, with the charges that built it,
+    keyed by the identity and :attr:`~repro.db.table.Table.version` of
+    the driving table and of every joined table; any later execution,
+    whatever its parameters, filters it and replays those charges until
+    one of those tables changes.  Why a reuse is never staler than
+    building: the argument of :meth:`repro.db.engine.Database._select`,
+    per plan.  A table bumps its version only after its change is
+    visible; the versions are read before and after building and the
+    product is kept only if they are equal, so a concurrent insert that
+    lands mid-build leaves nothing behind.  The slot is one tuple,
+    swapped whole, and dies with the plan on a schema change."""
     joins = [_compile_join(join, scope[: i + 1], gen)
              for i, join in enumerate(select.joins)]
-    where = "True" if select.where is None else _compile(select.where, scope, gen)
-    body = ["P = run.params", "out = []", "emit = out.append"]
+    build = gen.define("driving, joins", _product_body(scope, joins, gen))
+    if select.where is None:
+        keep: Callable[[Executor, List[Env]], List[Env]] = _copy_product
+    else:
+        unpack = [f"    {_rows(len(scope))} = env"] if scope else []
+        keep = gen.define("run, product", [
+            "P = run.params", "out = []", "emit = out.append",
+            "for env in product:", *unpack,
+            f"    if {_compile(select.where, scope, gen)}:", "        emit(env)",
+            "return out"])
+    name = select.table
+    probes = _probe_candidates(scope[0], select.where, gen) if scope else []
+    names = [name] + [join.table for join in select.joins]
+    #: (versions, driving charges, product, join charges), or None.
+    kept: Optional[Tuple] = None
+
+    def produce(run: Executor) -> List[Env]:
+        nonlocal kept
+        if name is None:
+            return keep(run, build([()], [])[0])
+        table = run._table(name)
+        if duplicate is not None:
+            raise SQLSyntaxError(f"duplicate table alias {duplicate!r}")
+        # Only a joined full scan keeps its product, and only a full scan
+        # reuses one: an index, once added, is never removed, so a
+        # product kept at a version where one had appeared is never used.
+        probe = _driving_index(table, probes)
+        versions = _versions(run, names) if joins and probe is None else None
+        held = kept
+        if versions is not None and held is not None and held[0] == versions:
+            run.product_reuse += ("product_hits",)
+            _, scanned, product, charges = held
+            for operation, count in scanned:
+                run._charge(operation, count)
+        else:
+            mark = len(run.charges)
+            row_ids, rows = _candidate_ids(run, table, probe), table.rows
+            driving = (list(rows.values()) if row_ids is None
+                       else [rows[row_id] for row_id in row_ids if row_id in rows])
+            opened = [open_join(run) for open_join, _, _ in joins]
+            product, totals = build(driving, [access for access, _, _ in opened])
+            charges = []
+            for k, (_, built, (probe_op, match_op)) in enumerate(opened):
+                charges += [("row_scan", built), (probe_op, totals[2 * k]),
+                            (match_op, totals[2 * k + 1])]
+            if versions is not None:
+                run.product_reuse += ("product_misses",)
+                if _versions(run, names) == versions:
+                    kept = (versions, run.charges[mark:], product, charges)
+                else:
+                    run.product_reuse += ("product_refused",)
+        envs = keep(run, product)
+        for operation, count in charges:
+            run._charge(operation, count)
+        return envs
+
+    return produce
+
+
+def _product_body(scope: Scope, joins, gen: _Codegen) -> List[str]:
+    """Source of ``f(driving, joins)``: the nested loops of
+    :func:`_compile_scan`, returning the product and each join's probe
+    and match totals."""
+    if scope and not joins:
+        return ["return list(zip(driving)), ()"]
+    body = ["out = []", "emit = out.append"]
     body += [f"b{k}, c{k}, g{k} = joins[{k - 1}]" for k in range(1, len(joins) + 1)]
     counts = [f"{kind}{k}" for k in range(1, len(joins) + 1) for kind in "pm"]
     body.append(" = ".join(counts + ["0"]))
@@ -310,31 +397,20 @@ def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
                  f"{indent}            continue",
                  f"{indent}        m{k} += 1"]
         indent += "        "
-    body += [f"{indent}if {where}:", f"{indent}    emit(({_rows(len(scope))}))",
-             f"return out, {_tuple(counts)}"]
-    scan = gen.define("run, driving, joins", body)
-    name = select.table
-    probes = _probe_candidates(scope[0], select.where, gen) if scope else []
+    return body + [f"{indent}emit(({_rows(len(scope))}))",
+                   f"return out, {_tuple(counts)}"]
 
-    def produce(run: Executor) -> List[Env]:
-        if name is None:
-            driving: List[Any] = [()]
-        else:
-            table = run._table(name)
-            if duplicate is not None:
-                raise SQLSyntaxError(f"duplicate table alias {duplicate!r}")
-            row_ids, rows = _candidate_ids(run, table, probes), table.rows
-            driving = (list(rows.values()) if row_ids is None
-                       else [rows[row_id] for row_id in row_ids if row_id in rows])
-        opened = [open_join(run) for open_join, _, _ in joins]
-        envs, totals = scan(run, driving, [access for access, _, _ in opened])
-        for k, (_, built, (probe_op, match_op)) in enumerate(opened):
-            run._charge("row_scan", built)
-            run._charge(probe_op, totals[2 * k])
-            run._charge(match_op, totals[2 * k + 1])
-        return envs
 
-    return produce
+def _copy_product(run: Executor, product: List[Env]) -> List[Env]:
+    """The filter of a SELECT without WHERE: a new list of every env."""
+    return list(product)
+
+
+def _versions(run: Executor, names: List[str]) -> Tuple:
+    """``(table, version)`` of each named table, None for a missing one."""
+    tables = run._tables
+    return tuple([None if table is None else (table, table.version)
+                  for table in map(tables.get, names)])
 
 
 def _compile_join(join, scope: Scope, gen: _Codegen):
@@ -409,20 +485,30 @@ def _probe_candidates(slot: Tuple[str, Tuple[str, ...]],
     return candidates
 
 
-def _candidate_ids(run: Executor, table: Table,
-                   candidates: List[Tuple[str, RowFn]]) -> Optional[Iterable[int]]:
-    """Row ids from the first candidate with an index; None after
-    charging a full scan (every row is a candidate)."""
+def _driving_index(table: Table, candidates: List[Tuple[str, RowFn]]
+                   ) -> Optional[Tuple[str, RowFn, Any]]:
+    """The first candidate column with an index on ``table``, as
+    ``(column, value_of, index)``; None when every row is scanned."""
     for column, value_of in candidates:
         index = table.index_on(column)
         if index is not None:
-            value = _coerce_for_column(table, column, value_of((), run))
-            run._charge("index_probe")
-            row_ids = index.lookup(value)
-            run._charge("index_row", len(row_ids))
-            return row_ids
-    run._charge("row_scan", len(table.rows))
+            return column, value_of, index
     return None
+
+
+def _candidate_ids(run: Executor, table: Table,
+                   probe: Optional[Tuple[str, RowFn, Any]]) -> Optional[Iterable[int]]:
+    """Row ids from ``probe`` (see :func:`_driving_index`); None after
+    charging a full scan (every row is a candidate)."""
+    if probe is None:
+        run._charge("row_scan", len(table.rows))
+        return None
+    column, value_of, index = probe
+    value = _coerce_for_column(table, column, value_of((), run))
+    run._charge("index_probe")
+    row_ids = index.lookup(value)
+    run._charge("index_row", len(row_ids))
+    return row_ids
 
 
 # -- projection -----------------------------------------------------------
@@ -581,7 +667,7 @@ def _compile_write(statement, gen: _Codegen) -> Plan:
     def run_write(run: Executor) -> ResultSet:
         _bind_params(run, gen.arity)
         table = run._table(name)
-        candidates = _candidate_ids(run, table, probes)
+        candidates = _candidate_ids(run, table, _driving_index(table, probes))
         if candidates is None:
             candidates = list(table.rows)
         if where is None:

@@ -1,11 +1,13 @@
-"""The generated scan keeps only the rows that pass WHERE, so even the
-heaviest TPC-W statement leaves too little live garbage to reach the
-old generations — whose collections traverse the whole population's
-index buckets."""
+"""The generated scan builds no intermediate row lists, and keeps its
+join product once per table version in tuples the collector untracks,
+so even the heaviest TPC-W statement leaves too little live garbage to
+reach the old generations — whose collections traverse the whole
+population's index buckets."""
 
 import gc
 
 from repro.db.engine import Database
+from repro.tpcw.names import SUBJECTS
 from repro.tpcw.population import PopulationScale, populate
 from repro.tpcw.schema import create_schema
 
@@ -27,8 +29,11 @@ def test_best_sellers_triggers_no_old_generation_collection():
     gc.collect()
     gc.callbacks.append(record)
     try:
-        for _ in range(10):
-            database.execute(sql, params)
+        # A subject each: the call that captured the statement built the
+        # join product and cached its ARTS result, and the other nine
+        # statements miss the result cache and filter the product.
+        for subject in SUBJECTS[:10]:
+            database.execute(sql, (params[0], subject))
     finally:
         gc.callbacks.remove(record)
     assert started.count(1) == 0 and started.count(2) == 0, started

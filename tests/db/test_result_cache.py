@@ -17,6 +17,8 @@ from repro.db.locks import LockMode
 from repro.db.table import Column
 
 SCAN = "SELECT name FROM t WHERE v = %s ORDER BY id"
+#: The join-product counters of a run whose SELECTs join nothing.
+NO_PRODUCTS = dict(product_hits=0, product_misses=0, product_refused=0)
 
 
 class SettlingCostModel(CostModel):
@@ -103,15 +105,15 @@ class TestExactness:
         for value in (1, 1.0, True, 0.0, -0.0):
             [(echo,)] = db.execute(sql, (value,)).rows
             assert type(echo) is type(value) and repr(echo) == repr(value)
-        assert stats(db) == dict(hits=0, misses=5, refused=0, evictions=0,
-                                 entries=5)
+        assert stats(db) == dict(NO_PRODUCTS, hits=0, misses=5, refused=0,
+                                 evictions=0, entries=5)
 
     def test_unhashable_parameters_bypass_the_cache(self, db):
         sql = "SELECT id FROM t WHERE name = %s"
         for _ in range(2):
             assert db.execute(sql, (["alpha"],)).rows == []
-        assert stats(db) == dict(hits=0, misses=0, refused=0, evictions=0,
-                                 entries=0)
+        assert stats(db) == dict(NO_PRODUCTS, hits=0, misses=0, refused=0,
+                                 evictions=0, entries=0)
 
 
 class TestInvalidation:

@@ -22,7 +22,9 @@ anywhere.
 
 Each SELECT runs again after a generated INSERT, UPDATE or DELETE, and
 must match sqlite again: a result the engine reused from before the
-write would not.
+write would not.  Each joined SELECT also runs, right after each of
+those, under a second binding of its parameters, so that it filters
+the join product the first binding built.
 """
 
 import collections
@@ -58,6 +60,8 @@ class Query:
     def __init__(self, draw):
         self.draw = draw
         self.params = []
+        #: Per parameter, a strategy for a different value of it.
+        self.rebinds = []
         #: alias -> whether its ``id`` can be NULL (a LEFT-joined alias).
         self.aliases = {}
 
@@ -66,6 +70,7 @@ class Query:
         value = self.draw(strategy)
         if self.draw(st.booleans()):
             self.params.append(value)
+            self.rebinds.append(strategy.filter(lambda other: other != value))
             return PARAM
         return repr(value) if isinstance(value, int) else _quote(value)
 
@@ -139,7 +144,8 @@ def _quote(text):
 
 @st.composite
 def selects(draw):
-    """``(sql, params, order_positions, limit, offset)``."""
+    """``((sql, params, order_positions, limit, offset), rebound)``, with
+    ``rebound`` a second binding that differs in every parameter."""
     query = Query(draw)
     query.aliases["a0"] = False
     sql = [f"FROM {draw(st.sampled_from(TABLES))} a0"]
@@ -201,7 +207,8 @@ def selects(draw):
                 offset = draw(st.integers(0, 3))
                 sql.append(f"OFFSET {offset}")
     text = f"SELECT {distinct}{', '.join(items)} " + " ".join(sql)
-    return text, query.params, positions, limit, offset
+    rebound = [draw(strategy) for strategy in query.rebinds]
+    return (text, query.params, positions, limit, offset), rebound
 
 
 @st.composite
@@ -265,10 +272,20 @@ def _row_rank(row):
 def test_select_matches_sqlite(data, queries):
     database, lite = load(data)
     with contextlib.closing(lite):
-        for fresh_id, (select, write) in enumerate(queries, 100):
-            assert_matches(database, lite, *select)
+        for fresh_id, ((select, rebound), write) in enumerate(queries, 100):
+            assert_rebound_matches(database, lite, select, rebound)
             apply_write(database, lite, write, fresh_id)
-            assert_matches(database, lite, *select)
+            assert_rebound_matches(database, lite, select, rebound)
+
+
+def assert_rebound_matches(database, lite, select, rebound):
+    """``select`` matches sqlite, and a joined one matches again right
+    after under its other binding, which filters the join product the
+    first execution built (when its driving table is scanned)."""
+    assert_matches(database, lite, *select)
+    if " JOIN " in select[0]:
+        sql, _, *order = select
+        assert_matches(database, lite, sql, rebound, *order)
 
 
 def assert_matches(database, lite, sql, params, positions, limit, offset):
