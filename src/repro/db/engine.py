@@ -24,7 +24,7 @@ from repro.db.sql.ast import (
 )
 from repro.db.sql.executor import Executor, Plan, ResultSet, compile_statement
 from repro.db.sql.parser import parse_sql
-from repro.db.table import Column, Table
+from repro.db.table import Column, Table, table_versions
 from repro.db.transactions import TransactionManager
 
 #: Compiled plans kept before the plan cache starts over (it only grows
@@ -258,7 +258,7 @@ class Database:
         """
         key = _result_key(statement, params)
         with LockScope(self.locks, needs):
-            versions = self._table_versions(needs)
+            versions = table_versions(self.tables, needs)
             if key is not None:
                 with self._cache_lock:
                     entry = self._results.get(key)
@@ -277,7 +277,7 @@ class Database:
             finally:
                 self._count_products(executor)
             if key is not None:
-                unchanged = self._table_versions(needs) == versions
+                unchanged = table_versions(self.tables, needs) == versions
                 with self._cache_lock:
                     if unchanged and schema == self._schema_version:
                         self._results[key] = (
@@ -291,11 +291,6 @@ class Database:
                     else:
                         self._result_counts["refused"] += 1
             return result
-
-    def _table_versions(self, needs: Dict[str, LockMode]) -> Tuple:
-        tables = self.tables
-        return tuple([tables[name].version if name in tables else None
-                      for name in needs])
 
     def _replay(self, entry: _Result) -> ResultSet:
         """Charge and settle a cached result's recorded cost; return a

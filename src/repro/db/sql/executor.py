@@ -35,7 +35,7 @@ from repro.db.sql.ast import (
     Literal, Placeholder, Rollback, Select, SelectItem, Statement, UnaryOp,
     Update,
 )
-from repro.db.table import Table
+from repro.db.table import Table, table_versions
 
 #: One joined row: a row dict per FROM/JOIN alias, in declaration order.
 Env = Tuple[Dict[str, Any], ...]
@@ -307,19 +307,13 @@ def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
     visible; the versions are read before and after building and the
     product is kept only if they are equal, so a concurrent insert that
     lands mid-build leaves nothing behind.  The slot is one tuple,
-    swapped whole, and dies with the plan on a schema change."""
+    swapped whole, and dies with the plan on a schema change.  Nothing
+    after the filter mutates the env list (a SELECT without WHERE passes
+    the product on as it is), so a kept product is shared read-only."""
     joins = [_compile_join(join, scope[: i + 1], gen)
              for i, join in enumerate(select.joins)]
     build = gen.define("driving, joins", _product_body(scope, joins, gen))
-    if select.where is None:
-        keep: Callable[[Executor, List[Env]], List[Env]] = _copy_product
-    else:
-        unpack = [f"    {_rows(len(scope))} = env"] if scope else []
-        keep = gen.define("run, product", [
-            "P = run.params", "out = []", "emit = out.append",
-            "for env in product:", *unpack,
-            f"    if {_compile(select.where, scope, gen)}:", "        emit(env)",
-            "return out"])
+    keep = gen.define("run, product", _filter_body(select.where, scope, gen))
     name = select.table
     probes = _probe_candidates(scope[0], select.where, gen) if scope else []
     names = [name] + [join.table for join in select.joins]
@@ -337,7 +331,8 @@ def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
         # reuses one: an index, once added, is never removed, so a
         # product kept at a version where one had appeared is never used.
         probe = _driving_index(table, probes)
-        versions = _versions(run, names) if joins and probe is None else None
+        versions = (table_versions(run._tables, names)
+                    if joins and probe is None else None)
         held = kept
         if versions is not None and held is not None and held[0] == versions:
             run.product_reuse += ("product_hits",)
@@ -357,7 +352,7 @@ def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
                             (match_op, totals[2 * k + 1])]
             if versions is not None:
                 run.product_reuse += ("product_misses",)
-                if _versions(run, names) == versions:
+                if table_versions(run._tables, names) == versions:
                     kept = (versions, run.charges[mark:], product, charges)
                 else:
                     run.product_reuse += ("product_refused",)
@@ -371,15 +366,16 @@ def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
 
 def _product_body(scope: Scope, joins, gen: _Codegen) -> List[str]:
     """Source of ``f(driving, joins)``: the nested loops of
-    :func:`_compile_scan`, returning the product and each join's probe
-    and match totals."""
-    if scope and not joins:
-        return ["return list(zip(driving)), ()"]
-    body = ["out = []", "emit = out.append"]
+    :func:`_compile_scan`, returning the product, one list per alias in
+    parallel, and each join's probe and match totals."""
+    if not joins:
+        return ["return (driving,), ()"]
+    slots = range(len(scope))
+    body = [f"o{s} = []; e{s} = o{s}.append" for s in slots]
     body += [f"b{k}, c{k}, g{k} = joins[{k - 1}]" for k in range(1, len(joins) + 1)]
     counts = [f"{kind}{k}" for k in range(1, len(joins) + 1) for kind in "pm"]
     body.append(" = ".join(counts + ["0"]))
-    body.append(f"for {'r0' if scope else '_'} in driving:")
+    body.append("for r0 in driving:")
     indent = "    "
     for k, (_, outer, null_row) in enumerate(joins, 1):
         body += [f"{indent}p{k} += 1", f"{indent}v{k} = {outer}"]
@@ -397,20 +393,26 @@ def _product_body(scope: Scope, joins, gen: _Codegen) -> List[str]:
                  f"{indent}            continue",
                  f"{indent}        m{k} += 1"]
         indent += "        "
-    return body + [f"{indent}emit(({_rows(len(scope))}))",
-                   f"return out, {_tuple(counts)}"]
+    return body + [indent + "; ".join(f"e{s}(r{s})" for s in slots),
+                   f"return {_tuple([f'o{s}' for s in slots])}, {_tuple(counts)}"]
 
 
-def _copy_product(run: Executor, product: List[Env]) -> List[Env]:
-    """The filter of a SELECT without WHERE: a new list of every env."""
-    return list(product)
-
-
-def _versions(run: Executor, names: List[str]) -> Tuple:
-    """``(table, version)`` of each named table, None for a missing one."""
-    tables = run._tables
-    return tuple([None if table is None else (table, table.version)
-                  for table in map(tables.get, names)])
+def _filter_body(where: Optional[Expression], scope: Scope,
+                 gen: _Codegen) -> List[str]:
+    """Source of ``f(run, product)``: the envs of the product that pass
+    WHERE, in product order, as a new list; the product is not changed.
+    Only the envs kept are built, so filtering a large product allocates
+    little the collector tracks."""
+    names = [f"r{slot}" for slot in range(len(scope))]
+    if where is None:
+        return ["return list(zip(*product))" if names else "return [()]"]
+    rows = ("zip(*product)" if len(names) > 1
+            else "product[0]" if names else "((),)")
+    return ["P = run.params", "out = []", "emit = out.append",
+            f"for {', '.join(names) or '()'} in {rows}:",
+            f"    if {_compile(where, scope, gen)}:",
+            f"        emit({_tuple(names)})",
+            "return out"]
 
 
 def _compile_join(join, scope: Scope, gen: _Codegen):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.db.errors import ColumnError, IntegrityError, TableError
 
@@ -267,3 +268,13 @@ class Table:
     def scan(self) -> Iterator[Any]:
         """Iterate (row_id, row) pairs; snapshot to tolerate deletes."""
         return iter(list(self.rows.items()))
+
+
+def table_versions(tables: Mapping[str, Table], names: Iterable[str]) -> Tuple:
+    """``(table, version)`` of each named table, None for a missing one.
+
+    Read before and after computing something from those tables, the two
+    tuples are equal only if no table changed (see :attr:`Table.version`),
+    was replaced or appeared in between."""
+    return tuple([None if table is None else (table, table.version)
+                  for table in map(tables.get, names)])

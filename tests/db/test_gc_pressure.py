@@ -26,14 +26,23 @@ def test_best_sellers_triggers_no_old_generation_collection():
         if phase == "start":
             started.append(info["generation"])
 
+    insert = ("INSERT INTO order_line (ol_o_id, ol_i_id, ol_qty, ol_discount,"
+              " ol_comments) VALUES (%s, %s, %s, %s, %s)")
+    before = database.result_cache_stats()
     gc.collect()
     gc.callbacks.append(record)
     try:
-        # A subject each: the call that captured the statement built the
-        # join product and cached its ARTS result, and the other nine
-        # statements miss the result cache and filter the product.
-        for subject in SUBJECTS[:10]:
+        # A subject each, so every statement misses the result cache; an
+        # order line before every second one, as buy_confirm adds them,
+        # so the window rebuilds the join product (dropping the previous
+        # one) five times and filters a kept one five times.
+        for i, subject in enumerate(SUBJECTS[:10]):
+            if i % 2 == 0:
+                database.execute(insert, (1, 1, 1, 0.0, ""))
             database.execute(sql, (params[0], subject))
     finally:
         gc.callbacks.remove(record)
+    after = database.result_cache_stats()
     assert started.count(1) == 0 and started.count(2) == 0, started
+    assert after["product_misses"] - before["product_misses"] == 5
+    assert after["product_hits"] - before["product_hits"] == 5
