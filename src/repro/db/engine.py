@@ -39,10 +39,10 @@ RESULT_CACHE_LIMIT = 1024
 #: its compiled plan, its table lock needs, and the schema version the
 #: plan was compiled against.
 _Compiled = Tuple[Statement, Plan, Dict[str, LockMode], int]
-#: A result cache entry: the statement, the versions of the tables it
-#: locks when the result was computed, the result's columns, rows and
-#: rowcount, and the ``(operation, count)`` charges that computed it, in
-#: order.  Every entry was computed under the current schema: a schema
+#: A result cache entry: the statement, the ``(table, version)`` of each
+#: table it locks when the result was computed, the result's columns,
+#: rows and rowcount, and the ``(operation, count)`` charges that
+#: computed it, in order.  Every entry was computed under the current schema: a schema
 #: change clears them all.
 _Result = Tuple[Statement, Tuple, Tuple[str, ...], Tuple[Tuple, ...], int,
                 Tuple[Tuple[str, int], ...]]
@@ -234,9 +234,10 @@ class Database:
         """Run a SELECT under its shared locks, or reuse its result.
 
         A result is kept under ``(id(statement), params)``, each
-        parameter tagged by its type, with the
+        parameter tagged by its type, with the identity and
         :attr:`~repro.db.table.Table.version` of every table the SELECT
-        locks, and reused while those versions are unchanged.  It is
+        locks (:func:`~repro.db.table.table_versions`), and reused while
+        those are unchanged.  It is
         kept only if the schema its plan was compiled against
         (``schema``) is still current, and a schema change clears the
         cache, so every entry belongs to the current schema.  A reuse

@@ -284,9 +284,12 @@ def _compile_select(select: Select, gen: _Codegen) -> Plan:
 def _compile_scan(select: Select, scope: Scope, duplicate: Optional[str],
                   gen: _Codegen) -> Callable[[Executor], List[Env]]:
     """The driving rows (an index probe or a charged scan) and each join
-    as one generated function that builds the *product*, one env per
-    joined row, and WHERE as a second that filters it: the driving rows
-    are the outer ``for``, each join a nested ``for`` over its bucket.
+    as one generated function that builds the *product*, each joined
+    row's row dicts appended to one list per alias, and WHERE as a
+    second that filters it into envs: the driving rows are the outer
+    ``for``, each join a nested ``for`` over its bucket.  Parallel
+    lists, not a tuple per joined row, so a build allocates nothing
+    the collector counts, however many rows it joins.
 
     Depth-first, the product is in the order a join-at-a-time
     evaluation would emit, the filter keeps that order, and the per-join
