@@ -127,7 +127,7 @@ def demo_stage_pipeline() -> None:
     pipeline = Pipeline(
         [Stage("parse", size=1, handler=parse),
          Stage("serve", size=2, handler=serve)],
-        entry="parse", stats=stats, clock=stats.clock,
+        stats=stats, clock=stats.clock,
         on_park=lambda client: None,
     )
     print(f"   stage graph: {' -> '.join(pipeline.stage_names())}")

@@ -6,11 +6,7 @@ FaultRule / FaultAction and the named sites) and
 circuit breaker, and degraded serving.
 """
 
-from repro.faults.errors import (
-    CircuitOpenError,
-    InjectedFault,
-    WorkerCrashError,
-)
+from repro.faults.errors import CircuitOpenError, InjectedFault
 from repro.faults.plan import (
     ALL_SITES,
     SITE_DB_QUERY,
@@ -51,5 +47,4 @@ __all__ = [
     "SITE_SOCKET_READ",
     "SITE_SOCKET_WRITE",
     "SITE_WORKER",
-    "WorkerCrashError",
 ]

@@ -11,16 +11,6 @@ class InjectedFault(RuntimeError):
     like the organic bug it stands in for."""
 
 
-class WorkerCrashError(InjectedFault):
-    """An injected pool-worker crash.
-
-    Raised by the worker fault hook *outside* the stage handler so it
-    escapes :meth:`repro.server.pipeline.Pipeline._execute` and
-    exercises the pool's error-handler path — the same route a
-    segfaulting native extension or a ``MemoryError`` would take.
-    """
-
-
 class CircuitOpenError(RuntimeError):
     """The circuit breaker guarding the connection pool is open.
 

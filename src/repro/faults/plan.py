@@ -32,7 +32,7 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
 from repro.faults.errors import InjectedFault
@@ -54,7 +54,7 @@ SITE_SOCKET_READ = "socket.read"
 #: ``ClientConnection`` socket writes — drop before, or short-write
 #: during, response transmission.
 SITE_SOCKET_WRITE = "socket.write"
-#: Stage pool workers — crash (escapes the handler) or hang.
+#: Stage pool workers — crash or hang before the stage handler runs.
 SITE_WORKER = "worker"
 
 ALL_SITES = (
@@ -85,8 +85,8 @@ class FaultAction(enum.Enum):
     STALL = "stall"
     #: Socket write transmits a truncated response, then drops.
     SHORT_WRITE = "short_write"
-    #: Worker raises :class:`~repro.faults.errors.WorkerCrashError`
-    #: *outside* the stage handler.
+    #: The worker crashes before running the stage handler: the
+    #: client gets a 500 and the stage counts ``worker_crashes``.
     CRASH = "crash"
     #: Worker blocks ``delay`` seconds before touching the job.
     HANG = "hang"
@@ -129,6 +129,13 @@ class FaultRule:
             )
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+        if self.site == SITE_SOCKET_READ and self.page_key is not None:
+            # The read decides before the request line is parsed, on
+            # the live servers and the sim alike: no page is known yet.
+            raise ValueError(
+                f"{SITE_SOCKET_READ!r} rules cannot filter by page_key; "
+                f"the site decides before the request is parsed"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,9 +345,3 @@ class FaultPlan:
                 "rules": per_rule,
             }
 
-
-def worker_decision_applies(decision: Optional[FaultDecision]) -> bool:
-    """Whether a ``SITE_WORKER`` decision is one the pool hook acts on."""
-    return decision is not None and decision.action in (
-        FaultAction.CRASH, FaultAction.HANG,
-    )

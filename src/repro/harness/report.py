@@ -228,60 +228,6 @@ def format_connection_utilization(stats) -> str:
     return "\n".join(lines)
 
 
-def format_errors(errors: Dict[str, Dict[str, int]]) -> str:
-    """``ServerStats.errors()`` on one line: ``/home 500×2, ...``."""
-    return ", ".join(f"{page} {status}×{count}"
-                     for page, by_status in sorted(errors.items())
-                     for status, count in sorted(by_status.items()))
-
-
-def format_resilience_report(stats) -> str:
-    """Fault-injection and policy counters from ``ServerStats``.
-
-    One row per stage that saw any resilience activity — retries,
-    deadline 504s, breaker fast-fails, degraded (stale-cache) serves,
-    late completions, worker crashes — followed by the per-site
-    injection tally and the breaker's state machine history.
-    """
-    report = stats.resilience_report()
-    lines = [
-        "Resilience counters per stage",
-        f"{'stage':<10s} {'retries':>8s} {'deadline':>9s} {'fastfail':>9s} "
-        f"{'degraded':>9s} {'late':>6s} {'crashes':>8s}",
-    ]
-    stages = report["stages"]
-    if not stages:
-        lines.append("(no resilience events recorded)")
-    for stage in sorted(stages):
-        entry = stages[stage]
-        lines.append(
-            f"{stage:<10s} {entry['retries']:>8d} "
-            f"{entry['deadline_expired']:>9d} "
-            f"{entry['breaker_fast_fail']:>9d} "
-            f"{entry['degraded_served']:>9d} "
-            f"{entry['late_completions']:>6d} "
-            f"{entry['worker_crashes']:>8d}"
-        )
-    lines.append("")
-    lines.append("Error responses: " + (format_errors(stats.errors()) or "none"))
-    faults = report["faults_injected"]
-    lines.append("")
-    lines.append("Faults injected per site")
-    if not faults:
-        lines.append("(none)")
-    for site in sorted(faults):
-        lines.append(f"  {site:<28s} {faults[site]:>6d}")
-    breaker = report["breaker"]
-    transitions = ", ".join(
-        f"{state}×{count}"
-        for state, count in sorted(breaker["transitions"].items())
-    ) or "none"
-    lines.append("")
-    lines.append(f"Breaker: state={breaker['state']} "
-                 f"transitions: {transitions}")
-    return "\n".join(lines)
-
-
 def format_page_percentiles(stats) -> str:
     """Per-page response-time percentile summary from ``ServerStats``."""
     summaries = stats.response_time_summary()

@@ -35,15 +35,3 @@ class NotFoundError(HTTPError):
     """No handler or static file matches the request path (404)."""
 
     status = 404
-
-
-class MethodNotAllowedError(HTTPError):
-    """The resource exists but not for this method (405)."""
-
-    status = 405
-
-
-class ServerOverloadedError(HTTPError):
-    """A bounded queue rejected the request (503)."""
-
-    status = 503

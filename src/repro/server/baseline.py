@@ -10,8 +10,9 @@ connection sits idle whenever its thread parses headers, serves static
 files, or renders templates.
 
 Architecturally this is now just the degenerate stage graph: one
-:class:`repro.server.pipeline.Stage` carrying a request start to
-finish over the same :class:`~repro.server.pipeline.Pipeline` core the
+:class:`repro.server.pipeline.Stage` (declared by
+:func:`baseline_stages`) carrying a request start to finish over the
+same :class:`~repro.server.pipeline.Pipeline` core the
 staged server uses, so both servers share every line of submit,
 overload/503, completion, and shutdown plumbing — the comparison in
 the paper's experiments measures the *topology*, nothing else.
@@ -19,7 +20,7 @@ the paper's experiments measures the *topology*, nothing else.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 from repro.core.classifier import RequestClass, page_key
 from repro.db.pool import ConnectionPool
@@ -49,6 +50,19 @@ from repro.server.pools import ThreadPool
 from repro.server.resources import DatabaseResource, LeaseStrategy
 from repro.server.static import serve_static
 from repro.util.clock import Clock
+
+
+def baseline_stages(workers: int, worker: Callable,
+                    lease_strategy: LeaseStrategy = LeaseStrategy.PINNED,
+                    ) -> List[Stage]:
+    """Figure 4 as data: one ``worker`` stage that does everything.
+
+    ``worker`` is the live server's request handler or the simulator's
+    step generator; every worker claims a database connection, held
+    the way ``lease_strategy`` says.
+    """
+    return [Stage("worker", workers, worker,
+                  resources=DatabaseResource(strategy=lease_strategy))]
 
 
 class BaselineServer(PipelineServer):
@@ -98,12 +112,10 @@ class BaselineServer(PipelineServer):
                 f"pins one connection"
             )
         self.lease_strategy = lease_strategy
-        stages = [
-            Stage("worker", workers, self._serve_client,
-                  resources=DatabaseResource(strategy=lease_strategy)),
-        ]
         super().__init__(
-            app, connection_pool, stages, entry="worker",
+            app, connection_pool,
+            baseline_stages(workers, self._serve_client,
+                            lease_strategy=lease_strategy),
             host=host, port=port, clock=clock,
             queue_sample_interval=queue_sample_interval,
             max_queue=max_queue, socket_timeout=socket_timeout,

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.classifier import RequestClass
 from repro.db.pool import ConnectionPool
-from repro.faults.errors import CircuitOpenError, WorkerCrashError
+from repro.faults.errors import CircuitOpenError
 from repro.faults.plan import SITE_WORKER, FaultAction, FaultPlan
 from repro.faults.policies import CircuitBreaker, ResilienceConfig
 from repro.http.request import HTTPRequest
@@ -216,10 +216,10 @@ class Pipeline:
     Parameters
     ----------
     stages:
-        Stage declarations; pools shut down in this declaration order,
-        upstream first, so draining stages can still route downstream.
-    entry:
-        Name of the stage that receives freshly dispatched connections.
+        Stage declarations.  The first declared stage is the entry: it
+        receives freshly dispatched connections.  Pools shut down in
+        declaration order, upstream first, so draining stages can still
+        route downstream.
     stats:
         Sink for per-stage queue samples, hop timings, completions.
     clock:
@@ -236,7 +236,7 @@ class Pipeline:
         touch it.
     """
 
-    def __init__(self, stages: Sequence[Stage], entry: str,
+    def __init__(self, stages: Sequence[Stage],
                  stats: ServerStats, clock: Clock,
                  on_park: Callable[[ClientConnection], None],
                  max_queue: Optional[int] = None,
@@ -252,16 +252,14 @@ class Pipeline:
         names = [stage.name for stage in stages]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate stage names: {names}")
-        if entry not in names:
-            raise ValueError(f"entry stage {entry!r} not among {names}")
         self.stages = list(stages)
-        self.entry = entry
+        self.entry = names[0]
         self.stats = stats
         self.clock = clock
         self.leases = leases
         self._on_park = on_park
-        #: Fault-injection plan threaded through the worker hook and
-        #: bracketed around handler execution as request context.
+        #: Fault-injection plan: each hop runs inside its request
+        #: context and consults the ``worker`` site before service.
         self._faults = faults
         #: Deadlines and degraded-serving policy; retry/breaker live in
         #: the LeaseManager.
@@ -294,8 +292,6 @@ class Pipeline:
                 error_handler=functools.partial(
                     self._on_worker_error, stage.name
                 ),
-                fault_hook=(functools.partial(self._worker_fault, stage.name)
-                            if faults is not None else None),
             )
             self._executors[stage.name] = functools.partial(
                 self._execute, stage
@@ -359,16 +355,27 @@ class Pipeline:
     # The one worker-side wrapper: timing + outcome interpretation
     # ------------------------------------------------------------------
     def _execute(self, stage: Stage, job: RequestJob) -> None:
-        started = self.clock.now()
-        queue_wait = job.lifecycle.begin_service(started)
-        deadline = (self._resilience.deadline_for(stage.name)
-                    if self._resilience is not None else None)
+        faults = self._faults
         token = None
-        if self._faults is not None:
-            token = self._faults.push_context(job.page_key or None,
-                                              stage.name)
+        crashed = False
         try:
-            if deadline is not None and started - job.arrival > deadline:
+            if faults is not None:
+                # The whole hop runs in its request context, so every
+                # site it reaches sees one (page, stage): the worker
+                # site, the socket read, the lease and the queries, and
+                # the write of the response the hop produces.  The
+                # worker site decides first, before the clock is read:
+                # a hang ages the request toward its deadline.
+                token = faults.push_context(job.page_key or None,
+                                            stage.name)
+                crashed = self._worker_fault(faults, stage.name)
+            started = self.clock.now()
+            queue_wait = job.lifecycle.begin_service(started)
+            deadline = (self._resilience.deadline_for(stage.name)
+                        if self._resilience is not None else None)
+            if crashed:
+                outcome = Fail(500, "worker crashed")
+            elif deadline is not None and started - job.arrival > deadline:
                 # Expired before service even began: fail 504 without
                 # running the handler — and, crucially, without leasing
                 # a connection a doomed request would only waste.
@@ -396,27 +403,28 @@ class Pipeline:
                     # leak the connection: it becomes an error response
                     # to the client.
                     outcome = Complete(error_response(exc))
+            service = self.clock.now() - started
+            job.lifecycle.record_hop(stage.name, queue_wait, service)
+            self.stats.record_stage_timing(stage.name, queue_wait, service)
+            if isinstance(outcome, RouteTo):
+                self.submit(outcome.stage, job)
+            elif isinstance(outcome, Complete):
+                self.complete(job, outcome.response)
+            elif isinstance(outcome, Fail):
+                self.fail(job, outcome.status, outcome.message,
+                          outcome.headers)
+            elif outcome is DONE:
+                # The handler disposed of the connection itself; mark
+                # the job so a late worker crash cannot resurrect it.
+                job.finished = True
+            else:
+                self.complete(job, error_response(TypeError(
+                    f"stage {stage.name!r} returned {outcome!r}, "
+                    f"not a StageOutcome"
+                )))
         finally:
-            if token is not None and self._faults is not None:
-                self._faults.pop_context(token)
-        service = self.clock.now() - started
-        job.lifecycle.record_hop(stage.name, queue_wait, service)
-        self.stats.record_stage_timing(stage.name, queue_wait, service)
-        if isinstance(outcome, RouteTo):
-            self.submit(outcome.stage, job)
-        elif isinstance(outcome, Complete):
-            self.complete(job, outcome.response)
-        elif isinstance(outcome, Fail):
-            self.fail(job, outcome.status, outcome.message, outcome.headers)
-        elif outcome is DONE:
-            # The handler disposed of the connection itself; mark the
-            # job so a late worker crash cannot resurrect it.
-            job.finished = True
-        else:
-            self.complete(job, error_response(TypeError(
-                f"stage {stage.name!r} returned {outcome!r}, "
-                f"not a StageOutcome"
-            )))
+            if token is not None:
+                faults.pop_context(token)
 
     def _breaker_outcome(self, stage: Stage, job: RequestJob,
                          exc: CircuitOpenError) -> StageOutcome:
@@ -430,27 +438,26 @@ class Pipeline:
         return Fail(503, "database circuit breaker open",
                     headers={"Retry-After": str(retry_after)})
 
-    # ------------------------------------------------------------------
-    # Pool-level hooks: worker fault injection + crash containment
-    # ------------------------------------------------------------------
-    def _worker_fault(self, stage_name: str, item) -> None:
-        """Pool fault hook: consult the plan before the handler runs."""
-        plan = self._faults
-        if plan is None:
-            return
-        page = (item.page_key or None) if isinstance(item, RequestJob) \
-            else None
-        decision = plan.decide(SITE_WORKER, page_key=page, stage=stage_name)
-        if decision is None:
-            return
-        if decision.action is FaultAction.HANG:
-            plan.sleep(decision.delay)
-        elif decision.action is FaultAction.CRASH:
-            raise WorkerCrashError(
-                decision.message
-                or f"injected worker crash in {stage_name!r}"
-            )
+    def _worker_fault(self, faults: FaultPlan, stage_name: str) -> bool:
+        """Consult the ``worker`` site; True when it injected a crash.
 
+        A hang spends its delay before service begins.  A crash counts
+        ``worker_crashes`` and becomes the 500 a crashed worker sends
+        while its stage owns the job.
+        """
+        decision = faults.decide(SITE_WORKER)
+        if decision is None:
+            return False
+        if decision.action is FaultAction.HANG:
+            faults.sleep(decision.delay)
+        elif decision.action is FaultAction.CRASH:
+            self.stats.record_resilience(stage_name, "worker_crashes")
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # Crash containment
+    # ------------------------------------------------------------------
     def _on_worker_error(self, stage_name: str, exc: BaseException,
                          item) -> None:
         """A worker crashed outside its stage handler.
@@ -577,7 +584,7 @@ class PipelineServer:
     """
 
     def __init__(self, app: Application, connection_pool: ConnectionPool,
-                 stages: Sequence[Stage], entry: str,
+                 stages: Sequence[Stage],
                  host: str = "127.0.0.1", port: int = 0,
                  clock: Optional[Clock] = None,
                  queue_sample_interval: float = 1.0,
@@ -627,7 +634,6 @@ class PipelineServer:
         # set, which is why they are assigned first.
         self.pipeline = Pipeline(
             stages,
-            entry=entry,
             stats=self.stats,
             clock=self.clock,
             on_park=self._park,

@@ -32,8 +32,7 @@ class ThreadPool:
                  worker_init: Optional[Callable[[], None]] = None,
                  worker_cleanup: Optional[Callable[[], None]] = None,
                  error_handler: Optional[Callable[[BaseException, Any], None]] = None,
-                 max_queue: Optional[int] = None,
-                 fault_hook: Optional[Callable[[Any], None]] = None):
+                 max_queue: Optional[int] = None):
         if size < 1:
             raise ValueError(f"pool {name!r} size must be >= 1, got {size}")
         if max_queue is not None and max_queue < 1:
@@ -55,11 +54,6 @@ class ThreadPool:
         self._worker_init = worker_init
         self._worker_cleanup = worker_cleanup
         self._error_handler = error_handler
-        # Runs on the worker with the item *before* the handler: the
-        # fault-injection seam for worker crash/hang scenarios.  A
-        # raising hook takes the same error path a crashing handler
-        # would, which is the point.
-        self._fault_hook = fault_hook
         self._shutdown = False
         self.tasks_completed = 0
         self.errors = 0
@@ -129,8 +123,6 @@ class ThreadPool:
                     self._waiting -= 1
                     self._busy += 1
                 try:
-                    if self._fault_hook is not None:
-                        self._fault_hook(item)
                     handler(item)
                     self.tasks_completed += 1
                 except Exception as exc:

@@ -362,10 +362,6 @@ class PerQueryConnection:
     def closed(self) -> bool:
         return False
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._sticky is not None
-
     # -- internals ------------------------------------------------------
     def _end_transaction(self) -> Lease:
         if self._sticky is None:

@@ -8,10 +8,11 @@ threads generate data with their pinned database connections and pass
 ``(template, data)`` results to Template Rendering, whose threads
 render, set the exact Content-Length, and transmit.
 
-The topology is pure configuration: :class:`StagedServer` is a list of
-:class:`repro.server.pipeline.Stage` declarations over the shared
-:class:`repro.server.pipeline.Pipeline` core, which owns all
-submit/overload/503 plumbing, completion, and shutdown ordering.
+The topology is pure configuration: :func:`staged_stages` declares
+the :class:`repro.server.pipeline.Stage` list that :class:`StagedServer`
+runs over the shared :class:`repro.server.pipeline.Pipeline` core,
+which owns all submit/overload/503 plumbing, completion, and shutdown
+ordering, and that the simulator walks with its own step generators.
 Handlers here only do the paper's routing logic.  That is also what
 makes the ablations configuration rather than code: pass
 ``render_inline=True`` for the no-render-pool variant (dynamic threads
@@ -39,7 +40,7 @@ Consequences implemented here, straight from §3.2–3.3:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 from repro.core.classifier import RequestClass, page_key
 from repro.core.dispatch import DynamicPoolChoice
@@ -72,6 +73,39 @@ from repro.server.pools import ThreadPool
 from repro.server.resources import DatabaseResource, LeaseStrategy
 from repro.server.static import serve_static
 from repro.util.clock import Clock
+
+
+def staged_stages(config: PolicyConfig, header: Callable, static: Callable,
+                  dynamic: Callable, render: Callable,
+                  render_inline: bool = False,
+                  lease_strategy: LeaseStrategy = LeaseStrategy.PINNED,
+                  ) -> List[Stage]:
+    """Figure 5 as data: the staged topology's stage table.
+
+    Pool sizes come from ``config``; the handlers are the per-role
+    callables — the live server's bound methods, or the simulator's
+    step generators, which walk the very same table.  The header stage
+    is declared first, so it is the entry.  ``render_inline`` drops
+    the Template Rendering stage (ablation A5); the dynamic handler is
+    then the one that renders.
+
+    Only the dynamic stages declare a claim on the database —
+    "database connections are assigned only to dynamic-request
+    threads" (§1) — and *how* they own it is ``lease_strategy``,
+    provisioned by the pipeline's LeaseManager.
+    """
+    dynamic_db = DatabaseResource(strategy=lease_strategy)
+    stages = [
+        Stage("header", config.header_pool_size, header),
+        Stage("static", config.static_pool_size, static),
+        Stage("general", config.general_pool_size, dynamic,
+              resources=dynamic_db),
+        Stage("lengthy", config.lengthy_pool_size, dynamic,
+              resources=dynamic_db),
+    ]
+    if not render_inline:
+        stages.append(Stage("render", config.render_pool_size, render))
+    return stages
 
 
 class StagedServer(PipelineServer):
@@ -139,26 +173,12 @@ class StagedServer(PipelineServer):
             )
         self.render_inline = render_inline
         self.lease_strategy = lease_strategy
-
-        # Figure 5 as data.  Only the dynamic stages declare a claim on
-        # the database — "database connections are assigned only to
-        # dynamic-request threads" (§1) — and *how* they own it is the
-        # declared strategy, provisioned by the pipeline's LeaseManager.
-        dynamic_db = DatabaseResource(strategy=lease_strategy)
-        stages = [
-            Stage("header", config.header_pool_size, self._parse_header),
-            Stage("static", config.static_pool_size, self._serve_static),
-            Stage("general", config.general_pool_size, self._serve_dynamic,
-                  resources=dynamic_db),
-            Stage("lengthy", config.lengthy_pool_size, self._serve_dynamic,
-                  resources=dynamic_db),
-        ]
-        if not render_inline:
-            stages.append(
-                Stage("render", config.render_pool_size, self._render)
-            )
         super().__init__(
-            app, connection_pool, stages, entry="header",
+            app, connection_pool,
+            staged_stages(config, self._parse_header, self._serve_static,
+                          self._serve_dynamic, self._render,
+                          render_inline=render_inline,
+                          lease_strategy=lease_strategy),
             host=host, port=port, clock=clock,
             queue_sample_interval=queue_sample_interval,
             max_queue=max_queue, socket_timeout=socket_timeout,

@@ -7,20 +7,29 @@ request lifecycle as generator processes, so this module re-expresses
 every injection point — and every resilience policy that reacts to it
 — against the discrete-event clock:
 
-==================  ============================  =======================
-site                live mechanism                sim mirror
-==================  ============================  =======================
-``db.pool.acquire``  PoolTimeoutError / sleep      :meth:`SimFaultHarness.lease_gate`
-``db.query``         TransientDBError / sleep      :meth:`SimFaultHarness.db_query`
-``render``           raise / sleep in the engine   :meth:`SimFaultHarness.render_gate`
-``socket.read``      drop / stall on recv          :meth:`SimFaultHarness.on_client_read`
-``socket.write``     drop / short write on send    :meth:`SimFaultHarness.on_client_write`
-``worker``           crash / hang in the pool      :meth:`SimFaultHarness.worker_start`
-==================  ============================  =======================
+===================  ==============================  ===============================================  ==========================
+site                 live mechanism                  sim mirror                                       page seen
+===================  ==============================  ===============================================  ==========================
+``worker``           crash (500) / hang, first in    :meth:`SimFaultHarness.worker_start`, first      not on the entry stage
+                     ``Pipeline._execute``           on each stage
+``socket.read``      drop / stall on the entry       :meth:`SimFaultHarness.on_client_read`, entry    never
+                     handler's first recv            stage only
+``db.pool.acquire``  PoolTimeoutError / sleep        :meth:`SimFaultHarness.lease_gate`               yes
+``db.query``         TransientDBError / sleep        :meth:`SimFaultHarness.db_query`                 yes
+``render``           raise / sleep in the engine     :meth:`SimFaultHarness.render_gate`              yes
+``socket.write``     drop / short write on every     :meth:`SimFaultHarness.on_client_write`, every   not for an entry-stage
+                     completion and ``fail()``       completion and error                             gate's error
+===================  ==============================  ===============================================  ==========================
 
-Both sides evaluate the *same* :class:`FaultPlan` rules with the same
-seed, so a scripted plan produces an identical ``fault_report()`` on
-the live server and the sim — the parity the chaos tests assert.
+Each live hop runs in its ``(page, stage)`` fault context, and the sim
+walker passes its gates the same pair: the page is visible from the
+moment the entry stage's handler runs, because that is where the live
+server parses the request.  Both sides evaluate the *same*
+:class:`FaultPlan` rules with the same seed, so a scripted plan
+produces an identical ``fault_report()``, ``resilience_report()`` and
+``errors()`` on the live server and the sim — the parity the chaos
+tests assert.  (One gap: the sim records an error from an entry-stage
+gate under the request's page, the live server under ``"?"``.)
 Injected delays become ``yield`` suspensions; injected failures become
 :class:`SimRequestFailed`, which the server's request walker catches
 to abandon the request (the sim analogue of an error response).
@@ -97,7 +106,7 @@ class SimFaultHarness:
 
     :class:`repro.sim.server.SimServer` calls the gate methods at the
     same points — and in the same order — as the live request path
-    consults the plan: worker hook, deadline check, socket read, pool
+    consults the plan: worker site, deadline check, socket read, pool
     acquire, per-query, render, socket write.
     """
 
@@ -141,35 +150,34 @@ class SimFaultHarness:
     # ------------------------------------------------------------------
     # Injection gates (one per live site)
     # ------------------------------------------------------------------
-    def worker_start(self, stage: str, page: str):
-        """``worker`` site: the pool fault hook before the handler."""
+    def worker_start(self, stage: str, page: Optional[str]):
+        """``worker`` site: decided before the stage's service begins."""
         decision = self.plan.decide(SITE_WORKER, page_key=page, stage=stage)
         if decision is None:
             return
         if decision.action is FaultAction.HANG:
             yield decision.delay
         elif decision.action is FaultAction.CRASH:
-            # Live: WorkerCrashError → _on_worker_error → 500 while the
-            # stage still owns the job.
+            # Live: Pipeline._execute turns the crash into a 500.
             self.stats.record_resilience(stage, "worker_crashes")
             raise SimRequestFailed(500, "worker crashed (injected)")
 
-    def on_client_read(self, page: str, stage: str) -> None:
-        """``socket.read``: the client stalls (408) or vanishes."""
-        decision = self.plan.decide(SITE_SOCKET_READ, page_key=page,
-                                    stage=stage)
-        if decision is None:
-            return
-        if decision.action is FaultAction.STALL:
-            raise SimRequestFailed(408, "client stalled mid-request")
-        # DROP: the peer closed before sending a request — the live
-        # handler returns DONE without a response.
-        raise SimRequestFailed(None, "client disconnected")
+    def on_client_read(self, stage: str) -> None:
+        """``socket.read``: the client stalls or vanishes.
 
-    def on_client_write(self, page: str, stage: str) -> bool:
+        Live, the site decides at the entry stage's first read, before
+        any request byte is parsed, so it sees no page — and a stall
+        there is the clean close of an idle peer, not a mid-request
+        408: either way the handler closes without a response.
+        """
+        if self.plan.decide(SITE_SOCKET_READ, stage=stage) is not None:
+            raise SimRequestFailed(None, "client disconnected")
+
+    def on_client_write(self, page: Optional[str], stage: str) -> bool:
         """``socket.write``: False when transmission failed (drop or
-        short write), in which case the live pipeline records no
-        completion — the caller must skip its stats recording."""
+        short write), in which case the live pipeline records neither
+        the completion nor the error the response carried — the caller
+        must skip its stats recording."""
         decision = self.plan.decide(SITE_SOCKET_WRITE, page_key=page,
                                     stage=stage)
         return decision is None

@@ -103,10 +103,6 @@ class PSServer:
         self.jobs_served = 0
 
     # ------------------------------------------------------------------
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
-
     def current_rate(self) -> float:
         n = len(self._jobs)
         if n == 0:

@@ -1,9 +1,11 @@
 """The simulated server: one stage-graph walker for every topology.
 
-Like the live :class:`repro.server.pipeline.Pipeline`, a topology is
-data: a table of stages, each a bounded :class:`SimThreadPool` plus a
-*step* — a small generator doing that stage's work and returning the
-next stage's name (``None`` when the response is ready).  One walker,
+A topology's stage table is the live servers' own declaration
+(:func:`repro.server.staged.staged_stages`,
+:func:`repro.server.baseline.baseline_stages`) over this module's
+*steps* — small generators doing a stage's work and returning the
+next stage's name (``None`` when the response is ready) — with a
+:class:`SimThreadPool` of the declared size per stage.  One walker,
 :meth:`SimServer._request`, carries every request through the table
 and owns the per-stage lifecycle — acquire a thread, consult the
 fault gates in the live consultation order, run the step, release —
@@ -29,13 +31,16 @@ held/busy accounting lives in the live lease layer
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.classifier import RequestClass
 from repro.core.dispatch import Dispatcher, DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.policies import ResilienceConfig
+from repro.server.baseline import baseline_stages
+from repro.server.pipeline import Stage
+from repro.server.staged import staged_stages
 from repro.server.stats import ServerStats
 from repro.sim.faults import (
     SimClockAdapter,
@@ -107,53 +112,31 @@ class SimServer:
         self.fault_harness = SimFaultHarness(sim, sim_fault_plan(sim, ()),
                                              self.stats)
         self._last_tick = 0.0
-        #: name -> (pool, step); filled in by the topology builder.
-        self.stages: Dict[str, Tuple[SimThreadPool, Callable]] = {}
-        self.entry = ""
+        #: Dynamic threads render on their own connection: the
+        #: thread-per-request worker, and ablation A5.
+        self.render_inline = kind != "staged"
+        table = TOPOLOGIES[kind](self)
+        #: name -> (pool, step); the first declared stage is the entry.
+        self.stages: Dict[str, Tuple[SimThreadPool, Callable]] = {
+            stage.name: (SimThreadPool(sim, stage.name, stage.size),
+                         stage.handler)
+            for stage in table
+        }
+        self.entry = table[0].name
         #: Waiter priority on every pool (lowest first); FIFO is 0.
-        self._priority: Callable[[_Request], float] = lambda request: 0.0
-        #: The 1 Hz sample, driven by the workload's sampler process.
-        self.sample: Callable[[], None] = self._sample_stage_queues
-        TOPOLOGIES[kind](self)
-
-    # ------------------------------------------------------------------
-    # Topologies: stage tables
-    # ------------------------------------------------------------------
-    def _add_stage(self, name: str, size: int, step: Callable) -> None:
-        if not self.stages:
-            self.entry = name
-        self.stages[name] = (SimThreadPool(self.sim, name, size), step)
-
-    def _build_thread_per_request(self) -> None:
-        """Paper Figure 4: one pool does everything, and every worker
-        pins a database connection for its lifetime (pool size =
-        workers, §1)."""
-        self._add_stage("worker", self.config.baseline_workers, self._worker)
-        self.sample = self._sample_worker_queue
-
-    def _build_sjf(self) -> None:
-        self._build_thread_per_request()
-        self._priority = self._estimated_size
-
-    def _build_staged(self) -> None:
-        """Paper Figure 5.  Connections are assigned only to dynamic-
-        request threads (§1), one per general or lengthy thread."""
-        config = self.config
-        if config.warm_start:
-            for path, profile in DEFAULT_PROFILES.items():
-                if profile.db_demand > 0:
-                    self.policy.tracker.prime(path, profile.db_demand)
-        self._add_stage("header", config.header_pool, self._header)
-        self._add_stage("static", config.static_pool, self._static)
-        self._add_stage("general", config.general_pool, self._dynamic)
-        self._add_stage("lengthy", config.lengthy_pool, self._dynamic)
-        self._add_stage("render", config.render_pool, self._render)
-
-    def _build_staged_render_inline(self) -> None:
-        """Ablation A5: the staged table without the render stage, so
-        dynamic threads render on their own connection."""
-        self._build_staged()
-        del self.stages["render"]
+        self._priority: Callable[[_Request], float] = (
+            self._estimated_size if kind == "sjf" else lambda request: 0.0)
+        if "general" in self.stages:
+            # Table 1 dispatch: the classifier routes on tracked
+            # generation times and treserve follows the general pool.
+            if config.warm_start:
+                for path, profile in DEFAULT_PROFILES.items():
+                    if profile.db_demand > 0:
+                        self.policy.tracker.prime(path, profile.db_demand)
+            #: The 1 Hz sample, driven by the workload's sampler process.
+            self.sample: Callable[[], None] = self._sample_stage_queues
+        else:
+            self.sample = self._sample_worker_queue
 
     def _estimated_size(self, request: _Request) -> float:
         # Statics are known-small: priority 0 (jump lengthy jobs).
@@ -189,23 +172,26 @@ class SimServer:
     def _request(self, request: _Request):
         """Carry one request through the stage table.
 
-        The gate order is the live request path's: worker hook,
+        The gate order is the live request path's: worker site,
         deadline check, socket read (entry stage only), then whatever
         the step consults (pool acquire, per-query, render), and the
-        socket write once the response is ready.
+        socket write of the response or error.  The page is unknown
+        until the entry step runs, where the live handler parses it.
         """
         harness = self.fault_harness
         arrival = self.sim.now
+        page: Optional[str] = None
         stage: Optional[str] = self.entry
         try:
             while stage is not None:
                 pool, step = self.stages[stage]
                 yield pool.acquire(request.kind, self._priority(request))
                 try:
-                    yield from harness.worker_start(stage, request.page)
+                    yield from harness.worker_start(stage, page)
                     harness.check_deadline(stage, arrival)
                     if stage == self.entry:
-                        harness.on_client_read(request.page, stage)
+                        harness.on_client_read(stage)
+                    page = request.page
                     last_stage = stage
                     stage = yield from step(request, stage)
                 finally:
@@ -213,10 +199,11 @@ class SimServer:
         except SimRequestFailed as failure:
             # The live side sent an error response (or nothing, for a
             # dropped client); either way no completion is recorded.
-            if failure.status is not None:
+            if (failure.status is not None
+                    and harness.on_client_write(page, stage)):
                 self.stats.record_error(request.page or "?", failure.status)
             return
-        if not harness.on_client_write(request.page, last_stage):
+        if not harness.on_client_write(page, last_stage):
             return
         self.stats.record_request(
             RequestClass.STATIC if request.profile is None
@@ -270,7 +257,6 @@ class SimServer:
         so there is no wait for one; only the pool's fault site and its
         breaker are consulted."""
         profile = request.profile
-        render_here = "render" not in self.stages
         yield from self.fault_harness.lease_gate(stage, request.page)
         if parse:
             yield self.web.serve(profile.parse_demand)
@@ -280,9 +266,9 @@ class SimServer:
         self.policy.record_generation_time(profile.path, seconds)
         if self.config.measuring(self.sim.now):
             self.stats.record_generation_time(profile.path, seconds)
-        if render_here:
+        if self.render_inline:
             yield from self._render(request, stage)
-        return None if render_here else "render"
+        return None if self.render_inline else "render"
 
     def _db_phase(self, request: _Request, stage: str):
         """The data-generation phase: read holds, query, optional write
@@ -333,10 +319,14 @@ class SimServer:
             self.stats.sample_queue(name, pool.queue_length)
 
 
-#: Server kind -> the builder that fills in its stage table.
-TOPOLOGIES: Dict[str, Callable[[SimServer], None]] = {
-    "baseline": SimServer._build_thread_per_request,
-    "staged": SimServer._build_staged,
-    "staged-render-inline": SimServer._build_staged_render_inline,
-    "sjf": SimServer._build_sjf,
+#: Server kind -> its stage table, declared by the live servers.  SJF
+#: is the thread-per-request table plus its priority.
+TOPOLOGIES: Dict[str, Callable[[SimServer], List[Stage]]] = {
+    "baseline": lambda server: baseline_stages(
+        server.config.baseline_workers, server._worker),
+    "staged": lambda server: staged_stages(
+        server.policy.config, server._header, server._static,
+        server._dynamic, server._render, server.render_inline),
 }
+TOPOLOGIES["sjf"] = TOPOLOGIES["baseline"]
+TOPOLOGIES["staged-render-inline"] = TOPOLOGIES["staged"]

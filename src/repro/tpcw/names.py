@@ -83,10 +83,6 @@ def book_title(rng: RandomStream) -> str:
     return "The " + " ".join(words)
 
 
-def title_word(rng: RandomStream) -> str:
-    return rng.choice(_TITLE_WORDS)
-
-
 def user_name(customer_id: int) -> str:
     """TPC-W derives the user name from the customer id."""
     return f"user{customer_id}"

@@ -5,9 +5,16 @@ The same rules with the same seed are interpreted by a live server
 with the same topology (generator processes on the discrete-event
 clock), for the staged server, its render-inline ablation, and the
 thread-per-request baseline.  Both worlds must produce the identical
-``fault_report()`` — same rules, same per-rule injection counts — and
-the identical ``resilience_report()`` counters, and a second live run
-with the same seed must reproduce the first bit for bit.
+``fault_report()`` — same rules, same per-rule injection counts — the
+identical ``resilience_report()`` counters and the identical error
+responses (``stats.errors()``), and a second live run with the same
+seed must reproduce the first bit for bit.
+
+Beyond the scripted plan, one rule set per fault site checks that
+each site sees the same ``(page, stage)`` on both sides: page- and
+stage-filtered socket writes, the write of an error response, a
+page-filtered worker crash on the entry stage (where no page is known
+yet), and socket reads, which decide before the request is parsed.
 """
 
 import pytest
@@ -18,12 +25,16 @@ from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,
     SITE_RENDER,
+    SITE_SOCKET_READ,
+    SITE_SOCKET_WRITE,
+    SITE_WORKER,
     FaultAction,
     FaultPlan,
     FaultRule,
 )
 from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.http.client import http_request
+from repro.http.errors import BadRequestError
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
 from repro.server.resources import LeaseStrategy
@@ -112,11 +123,71 @@ LIVE_SERVERS = {
 QUERY_STAGE = {"staged": "general", "staged-render-inline": "general",
                "baseline": "worker"}
 
+#: The stage that sends a dynamic page's response per topology.
+RESPONSE_STAGE = {"staged": "render", "staged-render-inline": "general",
+                  "baseline": "worker"}
 
-def run_live(kind):
-    """The script against a real server; returns the reports."""
+#: The first declared stage, which reads the request, per topology.
+ENTRY_STAGE = {"staged": "header", "staged-render-inline": "header",
+               "baseline": "worker"}
+
+
+def site_cases(kind):
+    """Case name -> (rules, script, injections the live run makes)."""
+    drop = FaultAction.DROP
+    return {
+        "write-drop-by-page": (
+            (FaultRule(site=SITE_SOCKET_WRITE, action=drop,
+                       page_key="/beta", max_times=1),),
+            SCRIPT, 1),
+        "write-drop-by-stage": (
+            (FaultRule(site=SITE_SOCKET_WRITE, action=drop,
+                       stage=RESPONSE_STAGE[kind], max_times=1),),
+            SCRIPT, 1),
+        # The dropped write is the 500 of the exhausted acquire, so the
+        # error is never recorded and the later 200 goes out.
+        "write-drop-on-error": (
+            (FaultRule(site=SITE_POOL_ACQUIRE, action=FaultAction.EXHAUST,
+                       page_key="/gamma", max_times=1),
+             FaultRule(site=SITE_SOCKET_WRITE, action=drop, max_times=1)),
+            ("/gamma", "/gamma"), 2),
+        # The entry stage's worker site decides before the request is
+        # parsed: a page filter there never matches.
+        "entry-worker-crash-by-page": (
+            (FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
+                       page_key="/beta", stage=ENTRY_STAGE[kind]),),
+            SCRIPT, 0),
+        "read-stall": (
+            (FaultRule(site=SITE_SOCKET_READ, action=FaultAction.STALL,
+                       max_times=1),),
+            SCRIPT, 1),
+        "read-drop": (
+            (FaultRule(site=SITE_SOCKET_READ, action=drop, max_times=1),),
+            SCRIPT, 1),
+        # On the baseline "general" is no stage at all.
+        "worker-hang-by-page-and-stage": (
+            (FaultRule(site=SITE_WORKER, action=FaultAction.HANG,
+                       page_key="/beta", stage="general", delay=0.01),),
+            SCRIPT, 0 if kind == "baseline" else 2),
+    }
+
+
+SITE_CASES = sorted(site_cases("staged"))
+
+
+def fetch_status(host, port, path):
+    """The response status, or ``None`` when the server sent nothing
+    (an empty reply, or a reset when it closed with the request unread)."""
+    try:
+        return http_request(host, port, path).status
+    except (BadRequestError, ConnectionResetError):
+        return None
+
+
+def run_live(kind, rules=PARITY_RULES, script=SCRIPT):
+    """The script against a real server; returns statuses and reports."""
     clock = ManualClock()
-    plan = FaultPlan(PARITY_RULES, seed=PARITY_SEED, clock=clock,
+    plan = FaultPlan(rules, seed=PARITY_SEED, clock=clock,
                      sleeper=clock.advance)
     app, database = build_parity_app()
     server = LIVE_SERVERS[kind](
@@ -127,11 +198,11 @@ def run_live(kind):
     server.start()
     try:
         host, port = server.address
-        statuses = tuple(http_request(host, port, path).status
-                         for path in SCRIPT)
+        statuses = tuple(fetch_status(host, port, path) for path in script)
     finally:
         server.stop()
-    return statuses, plan.fault_report(), server.stats.resilience_report()
+    return (statuses, plan.fault_report(),
+            server.stats.resilience_report(), server.stats.errors())
 
 
 #: Sim twins of the parity pages: tiny demands, no table locks — the
@@ -146,33 +217,34 @@ SIM_PROFILES = {
 }
 
 
-def run_sim(kind):
+def run_sim(kind, rules=PARITY_RULES, script=SCRIPT):
     """The same script through the SimServer with the same topology."""
     sim = Simulation()
     config = WorkloadConfig.quick(seed=PARITY_SEED)
     server = SimServer(sim, config, kind)
     harness = server.configure_faults(
-        sim_fault_plan(sim, PARITY_RULES, seed=PARITY_SEED),
+        sim_fault_plan(sim, rules, seed=PARITY_SEED),
         PARITY_RESILIENCE,
     )
 
     def driver():
         # Sequential, like the live client: each request completes (or
         # is abandoned by an injected fault) before the next is sent.
-        for path in SCRIPT:
+        for path in script:
             yield server.submit_page(SIM_PROFILES[path], jitter=1.0)
 
     sim.spawn(driver())
     sim.run()
     # The harness counts into the server's own sink.
     assert harness.stats is server.stats
-    return harness.plan.fault_report(), server.stats.resilience_report()
+    return (harness.plan.fault_report(), server.stats.resilience_report(),
+            server.stats.errors())
 
 
 @pytest.mark.parametrize("kind", sorted(LIVE_SERVERS))
 class TestFaultParity:
     def test_live_matches_expectations(self, kind):
-        statuses, fault_report, resilience = run_live(kind)
+        statuses, fault_report, resilience, errors = run_live(kind)
         assert statuses == EXPECTED_STATUSES
         assert fault_report["seed"] == PARITY_SEED
         assert fault_report["total_injected"] == 4
@@ -180,14 +252,26 @@ class TestFaultParity:
         # Both transients hit the same SELECT and were retried on the
         # connection-holding stage.
         assert resilience["stages"][QUERY_STAGE[kind]]["retries"] == 2
+        assert errors == {"/gamma": {"500": 1}}
 
     def test_sim_mirrors_live_key_for_key(self, kind):
-        _statuses, live_faults, live_resilience = run_live(kind)
-        sim_faults, sim_resilience = run_sim(kind)
-        assert sim_faults == live_faults
-        assert sim_resilience == live_resilience
+        _statuses, *live = run_live(kind)
+        assert list(run_sim(kind)) == live
+
+    @pytest.mark.parametrize("case", SITE_CASES)
+    def test_each_site_sees_the_same_context(self, kind, case):
+        rules, script, injected = site_cases(kind)[case]
+        _statuses, *live = run_live(kind, rules, script)
+        assert live[0]["total_injected"] == injected
+        assert list(run_sim(kind, rules, script)) == live
 
     def test_two_consecutive_live_runs_are_identical(self, kind):
         first = run_live(kind)
         second = run_live(kind)
         assert first == second
+
+
+def test_socket_read_rules_cannot_filter_by_page():
+    with pytest.raises(ValueError, match="page_key"):
+        FaultRule(site=SITE_SOCKET_READ, action=FaultAction.DROP,
+                  page_key="/alpha")

@@ -15,7 +15,6 @@ from repro.faults.plan import (
     FaultAction,
     FaultPlan,
     FaultRule,
-    worker_decision_applies,
 )
 from repro.util.clock import ManualClock
 
@@ -254,13 +253,3 @@ class TestReporting:
         plan.decide(SITE_DB_QUERY)
         plan.decide(SITE_RENDER)  # no rule: no injection, no callback
         assert seen == [(SITE_DB_QUERY, "fail")]
-
-    def test_worker_decision_applies(self):
-        plan = make_plan([
-            FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
-                      max_times=1),
-            FaultRule(site=SITE_WORKER, action=FaultAction.HANG, delay=1.0),
-        ])
-        assert worker_decision_applies(plan.decide(SITE_WORKER))
-        assert worker_decision_applies(plan.decide(SITE_WORKER))
-        assert not worker_decision_applies(None)

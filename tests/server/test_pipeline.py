@@ -56,11 +56,11 @@ def make_request(keep_alive=False, method="GET"):
     return SimpleNamespace(keep_alive=keep_alive, method=method)
 
 
-def build_pipeline(stages, entry, on_park=None, max_queue=None):
+def build_pipeline(stages, on_park=None, max_queue=None):
     stats = ServerStats()
     parked = []
     pipeline = Pipeline(
-        stages, entry=entry, stats=stats, clock=stats.clock,
+        stages, stats=stats, clock=stats.clock,
         on_park=on_park if on_park is not None else parked.append,
         max_queue=max_queue,
     )
@@ -82,7 +82,7 @@ class TestRoutingAndCompletion:
             return Complete(HTTPResponse.html("<done>"))
 
         pipeline, stats, _ = build_pipeline(
-            [Stage("first", 1, first), Stage("second", 1, second)], "first"
+            [Stage("first", 1, first), Stage("second", 1, second)]
         )
         try:
             client = FakeClient()
@@ -112,7 +112,7 @@ class TestRoutingAndCompletion:
             return Complete(HTTPResponse.html("x"))
 
         pipeline, _, _ = build_pipeline(
-            [Stage("first", 1, first), Stage("second", 1, second)], "first"
+            [Stage("first", 1, first), Stage("second", 1, second)]
         )
         try:
             client = FakeClient()
@@ -134,7 +134,7 @@ class TestRoutingAndCompletion:
 
     def test_fail_outcome_sends_error_and_closes(self):
         pipeline, stats, _ = build_pipeline(
-            [Stage("only", 1, lambda job: Fail(400, "bad"))], "only"
+            [Stage("only", 1, lambda job: Fail(400, "bad"))]
         )
         try:
             client = FakeClient()
@@ -154,7 +154,7 @@ class TestRoutingAndCompletion:
             return DONE
 
         pipeline, stats, _ = build_pipeline(
-            [Stage("only", 1, handler)], "only"
+            [Stage("only", 1, handler)]
         )
         try:
             client = FakeClient()
@@ -169,7 +169,7 @@ class TestRoutingAndCompletion:
         def handler(job):
             raise RuntimeError("stage exploded")
 
-        pipeline, _, _ = build_pipeline([Stage("only", 1, handler)], "only")
+        pipeline, _, _ = build_pipeline([Stage("only", 1, handler)])
         try:
             client = FakeClient()
             pipeline.dispatch(client)
@@ -182,7 +182,7 @@ class TestRoutingAndCompletion:
 
     def test_non_outcome_return_becomes_500(self):
         pipeline, _, _ = build_pipeline(
-            [Stage("only", 1, lambda job: "oops")], "only"
+            [Stage("only", 1, lambda job: "oops")]
         )
         try:
             client = FakeClient()
@@ -195,7 +195,7 @@ class TestRoutingAndCompletion:
 
     def test_route_to_unknown_stage_is_500_not_leak(self):
         pipeline, _, _ = build_pipeline(
-            [Stage("only", 1, lambda job: RouteTo("missing"))], "only"
+            [Stage("only", 1, lambda job: RouteTo("missing"))]
         )
         try:
             client = FakeClient()
@@ -215,7 +215,7 @@ class TestKeepAlive:
             return Complete(HTTPResponse.html("x"))
 
         pipeline, _, parked = build_pipeline(
-            [Stage("only", 1, handler)], "only"
+            [Stage("only", 1, handler)]
         )
         try:
             client = FakeClient()
@@ -232,7 +232,7 @@ class TestKeepAlive:
             return Complete(HTTPResponse.html("x"))
 
         pipeline, _, parked = build_pipeline(
-            [Stage("only", 1, handler)], "only"
+            [Stage("only", 1, handler)]
         )
         try:
             pipeline.stop_accepting()
@@ -249,7 +249,7 @@ class TestKeepAlive:
             job.request = make_request(method="HEAD")
             return Complete(HTTPResponse.html("<body-bytes>"))
 
-        pipeline, _, _ = build_pipeline([Stage("only", 1, handler)], "only")
+        pipeline, _, _ = build_pipeline([Stage("only", 1, handler)])
         try:
             client = FakeClient()
             pipeline.dispatch(client)
@@ -270,7 +270,7 @@ class TestBackpressure:
             return Complete(HTTPResponse.html("x"))
 
         pipeline, stats, _ = build_pipeline(
-            [Stage("slow", 1, slow)], "slow", max_queue=1
+            [Stage("slow", 1, slow)], max_queue=1
         )
         try:
             # Occupy the worker, then fill the queue of 1.
@@ -301,7 +301,7 @@ class TestBackpressure:
             return Complete(HTTPResponse.html("x"))
 
         pipeline, _, _ = build_pipeline(
-            [Stage("slow", 1, slow)], "slow", max_queue=1
+            [Stage("slow", 1, slow)], max_queue=1
         )
         try:
             pipeline.dispatch(FakeClient())
@@ -319,7 +319,7 @@ class TestBackpressure:
 
     def test_submit_after_shutdown_closes_quietly(self):
         pipeline, _, _ = build_pipeline(
-            [Stage("only", 1, lambda job: DONE)], "only"
+            [Stage("only", 1, lambda job: DONE)]
         )
         pipeline.shutdown()
         client = FakeClient()
@@ -332,7 +332,7 @@ class TestBackpressure:
         pipeline, _, _ = build_pipeline(
             [Stage("a", 1, lambda job: DONE),
              Stage("b", 1, lambda job: DONE)],
-            "a", max_queue=3,
+            max_queue=3,
         )
         try:
             assert pipeline.pool("a").max_queue == 3
@@ -353,7 +353,7 @@ class TestCrashContainment:
 
     def test_second_completion_suppressed_and_counted_late(self):
         pipeline, stats, parked = build_pipeline(
-            [Stage("only", 1, lambda job: DONE)], "only"
+            [Stage("only", 1, lambda job: DONE)]
         )
         try:
             client = FakeClient()
@@ -373,7 +373,7 @@ class TestCrashContainment:
 
     def test_fail_after_completion_suppressed(self):
         pipeline, stats, _ = build_pipeline(
-            [Stage("only", 1, lambda job: DONE)], "only"
+            [Stage("only", 1, lambda job: DONE)]
         )
         try:
             client = FakeClient()
@@ -391,7 +391,7 @@ class TestCrashContainment:
     def test_crash_after_routing_leaves_downstream_job_alone(self):
         pipeline, stats, _ = build_pipeline(
             [Stage("first", 1, lambda job: DONE),
-             Stage("second", 1, lambda job: DONE)], "first"
+             Stage("second", 1, lambda job: DONE)]
         )
         try:
             client = FakeClient()
@@ -409,7 +409,7 @@ class TestCrashContainment:
 
     def test_crash_while_owning_unfinished_job_fails_it(self):
         pipeline, stats, _ = build_pipeline(
-            [Stage("only", 1, lambda job: DONE)], "only"
+            [Stage("only", 1, lambda job: DONE)]
         )
         try:
             client = FakeClient()
@@ -433,7 +433,7 @@ class TestCrashContainment:
             return DONE
 
         pipeline, stats, _ = build_pipeline(
-            [Stage("only", 1, handler)], "only"
+            [Stage("only", 1, handler)]
         )
         try:
             client = FakeClient()
@@ -457,29 +457,19 @@ class TestConstruction:
             Pipeline(
                 [Stage("x", 1, lambda j: DONE),
                  Stage("x", 1, lambda j: DONE)],
-                entry="x", stats=stats, clock=stats.clock,
-                on_park=lambda c: None,
-            )
-
-    def test_unknown_entry_rejected(self):
-        stats = ServerStats()
-        with pytest.raises(ValueError, match="entry"):
-            Pipeline(
-                [Stage("x", 1, lambda j: DONE)],
-                entry="y", stats=stats, clock=stats.clock,
+                stats=stats, clock=stats.clock,
                 on_park=lambda c: None,
             )
 
     def test_empty_pipeline_rejected(self):
         stats = ServerStats()
         with pytest.raises(ValueError):
-            Pipeline([], entry="x", stats=stats, clock=stats.clock,
+            Pipeline([], stats=stats, clock=stats.clock,
                      on_park=lambda c: None)
 
     def test_stage_names_in_declaration_order(self):
         pipeline, _, _ = build_pipeline(
             [Stage("a", 1, lambda j: DONE), Stage("b", 1, lambda j: DONE)],
-            "a",
         )
         try:
             assert pipeline.stage_names() == ["a", "b"]
@@ -489,7 +479,6 @@ class TestConstruction:
     def test_queue_sampling_covers_every_stage(self):
         pipeline, stats, _ = build_pipeline(
             [Stage("a", 1, lambda j: DONE), Stage("b", 1, lambda j: DONE)],
-            "a",
         )
         try:
             pipeline.sample_queues()

@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from repro.core.dispatch import StrictSeparationDispatcher
+from repro.sim.kernel import Simulation
+from repro.sim.server import SimServer
 from repro.sim.workload import (
     DEFAULT_PROFILES,
     LENGTHY_REPORT_PAGES,
@@ -80,6 +82,25 @@ class TestWorkloadConfig:
     def test_reserve_bounded_by_pool(self):
         with pytest.raises(ValueError):
             WorkloadConfig(general_pool=4, minimum_reserve=10)
+
+
+class TestStageTables:
+    """Each kind walks the live servers' declared stages, in order."""
+
+    STAGED = [("header", 2), ("static", 2), ("general", 8), ("lengthy", 2),
+              ("render", 2)]
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("baseline", [("worker", 8)]),
+        ("sjf", [("worker", 8)]),
+        ("staged", STAGED),
+        ("staged-render-inline", STAGED[:-1]),
+    ])
+    def test_declared_names_sizes_and_order(self, kind, expected):
+        server = SimServer(Simulation(), tiny_config(), kind)
+        assert [(name, pool.size) for name, (pool, _step)
+                in server.stages.items()] == expected
+        assert server.entry == expected[0][0]
 
 
 class TestSimulationRuns:
