@@ -26,6 +26,7 @@ from repro.db.sql.executor import Executor, Plan, ResultSet, compile_statement
 from repro.db.sql.parser import parse_sql
 from repro.db.table import Column, Table, table_versions
 from repro.db.transactions import TransactionManager
+from repro.faults.plan import SITE_DB_QUERY
 
 #: Compiled plans kept before the plan cache starts over (it only grows
 #: past the statement cache when callers execute ad-hoc parsed ASTs).
@@ -208,7 +209,7 @@ class Database:
             # Injection point: only for statements that do work —
             # failing transaction control would break rollback paths
             # no real backend fails this way.
-            self.faults.on_db_query()
+            self.faults.consult(SITE_DB_QUERY)
         _, plan, needs, schema = self._compiled(statement)
         if isinstance(statement, Select):
             return self._select(statement, params, plan, needs, schema)

@@ -25,6 +25,7 @@ from typing import Callable, Deque, Optional, Set
 from repro.db.connection import Connection
 from repro.db.engine import Database
 from repro.db.errors import PoolClosedError, PoolReleaseError, PoolTimeoutError
+from repro.faults.plan import SITE_POOL_ACQUIRE
 
 
 class ConnectionPool:
@@ -71,7 +72,7 @@ class ConnectionPool:
             # An injected DELAY sleeps here (outside the condition, so
             # it does not serialise other acquirers); EXHAUST/FAIL
             # raises PoolTimeoutError exactly as a starved wait would.
-            self.faults.on_pool_acquire()
+            self.faults.consult(SITE_POOL_ACQUIRE)
         with self._available:
             if self._closed:
                 raise PoolClosedError("connection pool is closed")

@@ -25,3 +25,14 @@ class CircuitOpenError(RuntimeError):
         super().__init__(message)
         #: Seconds until the breaker will allow a half-open probe.
         self.retry_after = retry_after
+
+
+class WorkerCrash(InjectedFault):
+    """An injected ``worker`` crash: the hop fails 500 before its
+    handler runs, and its stage counts ``worker_crashes``."""
+
+
+class DeadlineExpired(RuntimeError):
+    """A job picked up past its stage deadline: the hop fails 504
+    before its handler runs, so a doomed request never leases a
+    connection."""

@@ -18,12 +18,15 @@ plan seed and the rule's position, and every schedule decision comes
 from the injected clock.  Two runs with the same seed, clock script,
 and request sequence inject bit-for-bit identical faults.
 
-The plan deliberately knows nothing about servers: call sites either
-use the interpreter helpers (:meth:`on_pool_acquire`,
-:meth:`on_db_query`, :meth:`on_render`) which raise/sleep on the
-caller's behalf, or call :meth:`decide` directly and interpret the
-returned :class:`FaultDecision` themselves (sockets, workers, and the
-simulator, where "sleep" means yielding sim time).
+The plan deliberately knows nothing about servers.  What an action
+does at ``db.pool.acquire``, ``db.query``, ``render`` and ``worker``
+is written once, in :meth:`FaultPlan.gate`: a generator that yields
+the seconds to wait and raises the exception the live layer raises.
+A live thread drives it with :func:`drive` (:meth:`FaultPlan.consult`
+for one site); the simulator runs it with ``yield from``, so a wait
+is sim time.  The socket sites keep their live semantics in
+:mod:`repro.server.netbase`; the simulator asks only whether they
+fired.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterator, Optional, Sequence, Tuple
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
-from repro.faults.errors import InjectedFault
+from repro.faults.errors import InjectedFault, WorkerCrash
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.rng import RandomStream
 
@@ -271,50 +274,48 @@ class FaultPlan:
             self._sleeper(seconds)
 
     # ------------------------------------------------------------------
-    # Interpreter helpers for call sites with obvious semantics.  The
-    # sim does not use these (it yields sim time instead of sleeping);
-    # it interprets decide() directly.
+    # The one interpreter of the gated sites, for both executors
     # ------------------------------------------------------------------
-    def on_pool_acquire(self) -> None:
-        """Consulted at the top of ``ConnectionPool.acquire``."""
-        decision = self.decide(SITE_POOL_ACQUIRE)
-        if decision is None:
-            return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
-            return
-        raise PoolTimeoutError(
-            decision.message or "injected: connection pool exhausted"
-        )
+    def gate(self, site: str, page_key: Optional[str] = None,
+             stage: Optional[str] = None) -> Generator[float, None, None]:
+        """Interpret one decision at ``site``: yield the seconds to
+        wait, or raise what the live layer raises.
 
-    def on_db_query(self) -> None:
-        """Consulted by ``Database.execute_statement`` for real
-        statements (transaction control is never injected)."""
-        decision = self.decide(SITE_DB_QUERY)
+        ``db.pool.acquire`` raises :class:`PoolTimeoutError`, as a
+        starved wait would; ``db.query`` raises
+        :class:`TransientDBError` (the one class retry may replay) or
+        :class:`DatabaseError`; ``render`` raises
+        :class:`InjectedFault`; ``worker`` waits on a hang and raises
+        :class:`WorkerCrash` on a crash.  DELAY waits at the first
+        three.  The live servers leave ``page_key``/``stage`` to the
+        pushed context; the simulator passes them.
+        """
+        decision = self.decide(site, page_key, stage)
         if decision is None:
             return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
+        action, message = decision.action, decision.message
+        if site == SITE_WORKER:
+            if action is FaultAction.HANG:
+                yield decision.delay
+            elif action is FaultAction.CRASH:
+                raise WorkerCrash(message or "injected worker crash")
             return
-        if decision.action is FaultAction.TRANSIENT:
-            raise TransientDBError(
-                decision.message or "injected transient database failure"
-            )
-        raise DatabaseError(
-            decision.message or "injected database failure"
-        )
+        if action is FaultAction.DELAY:
+            yield decision.delay
+            return
+        if site == SITE_POOL_ACQUIRE:
+            raise PoolTimeoutError(
+                message or "injected: connection pool exhausted")
+        if site == SITE_DB_QUERY:
+            if action is FaultAction.TRANSIENT:
+                raise TransientDBError(
+                    message or "injected transient database failure")
+            raise DatabaseError(message or "injected database failure")
+        raise InjectedFault(message or f"injected {site} failure")
 
-    def on_render(self, template: Optional[str] = None) -> None:
-        """Consulted by ``TemplateEngine.render``."""
-        decision = self.decide(SITE_RENDER)
-        if decision is None:
-            return
-        if decision.action is FaultAction.DELAY:
-            self.sleep(decision.delay)
-            return
-        raise InjectedFault(
-            decision.message or f"injected render failure ({template})"
-        )
+    def consult(self, site: str) -> None:
+        """Run :meth:`gate` on a live thread, in the pushed context."""
+        drive(self.gate(site), self.sleep)
 
     # ------------------------------------------------------------------
     def injected_total(self) -> int:
@@ -345,3 +346,22 @@ class FaultPlan:
                 "rules": per_rule,
             }
 
+
+def drive(steps: Iterator[float], sleep: Callable[[float], None]):
+    """Run an interpreter on a live thread: spend each positive wait it
+    yields through ``sleep``, and return what it returns."""
+    try:
+        while True:
+            seconds = next(steps)
+            if seconds > 0:
+                sleep(seconds)
+    except StopIteration as stop:
+        return stop.value
+
+
+def immediate(function: Callable, *args) -> Generator[float, None, object]:
+    """``function(*args)`` as an interpreter step that waits for
+    nothing: how a live caller hands a blocking call to a shared loop
+    that the simulator feeds with steps that do wait."""
+    return function(*args)
+    yield  # unreachable: it makes this function a generator

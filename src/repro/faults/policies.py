@@ -9,11 +9,17 @@ one stuck resource.
   deterministic jitter for *transient* database faults.  Applied only
   under the per-query lease strategy and only to idempotent statements
   (a retried INSERT could double-write; a retried SELECT cannot).
+  :meth:`RetryPolicy.run` is the retry loop of one leased statement,
+  for the live :class:`~repro.server.resources.PerQueryConnection` and
+  the simulator alike.
 - :class:`CircuitBreaker` — guards the connection pool: after a run of
   acquire failures it opens and fast-fails (503 + ``Retry-After``)
   instead of letting every request queue against an exhausted pool;
   after ``recovery_timeout`` it admits a single half-open probe, and a
-  probe success closes it again.
+  probe success closes it again.  :meth:`CircuitBreaker.guard` wraps
+  one acquire.
+- :func:`admit_hop` — the gates every hop passes before its handler,
+  on both executors: the ``worker`` fault site, then the deadline.
 - :class:`ResilienceConfig` — the declarative bundle a server accepts:
   per-stage deadlines (expired requests fail 504 before consuming a
   connection), the retry policy, the breaker, and degraded serving
@@ -26,12 +32,16 @@ from the shared server clock — the chaos tests script both.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import random
 import threading
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, Generator, Iterator, List, Mapping, Optional
 
+from repro.db.errors import PoolTimeoutError, TransientDBError
+from repro.faults.errors import CircuitOpenError, DeadlineExpired, WorkerCrash
+from repro.faults.plan import SITE_WORKER, FaultPlan
 from repro.util.clock import Clock, MonotonicClock
 
 
@@ -73,6 +83,31 @@ class RetryPolicy:
             floor = max(floor, jittered)
             schedule.append(floor)
         return schedule
+
+    def run(self, attempt: Callable[[], Iterator], rng: random.Random,
+            stats=None, stage: str = ""):
+        """The retry loop of one leased statement.
+
+        ``yield from`` ``attempt()`` until it returns; after each
+        :class:`TransientDBError` count ``retries`` on ``stage`` and
+        yield the next backoff wait, re-raising once the schedule is
+        spent.  The schedule is drawn from ``rng`` at the statement's
+        first transient, so a statement that never fails draws nothing.
+        """
+        delays: Optional[List[float]] = None
+        tries = 0
+        while True:
+            try:
+                return (yield from attempt())
+            except TransientDBError:
+                if delays is None:
+                    delays = self.delays(rng)
+                if tries >= len(delays):
+                    raise
+            if stats is not None:
+                stats.record_resilience(stage, "retries")
+            yield delays[tries]
+            tries += 1
 
 
 class BreakerState(enum.Enum):
@@ -182,6 +217,27 @@ class CircuitBreaker:
                     transitioned = self._transition(BreakerState.OPEN)
         self._notify(transitioned)
 
+    @contextlib.contextmanager
+    def guard(self, stats=None, stage: str = ""):
+        """The breaker around one pool acquire.
+
+        While open it fast-fails with :class:`CircuitOpenError`
+        (counted as ``breaker_fast_fail`` on ``stage``) instead of
+        queueing another request against an exhausted pool; a
+        :class:`PoolTimeoutError` inside the block feeds it a failure,
+        a block that completes a success.
+        """
+        if not self.allow():
+            if stats is not None:
+                stats.record_resilience(stage, "breaker_fast_fail")
+            raise CircuitOpenError(retry_after=self.retry_after())
+        try:
+            yield
+        except PoolTimeoutError:
+            self.record_failure()
+            raise
+        self.record_success()
+
     def retry_after(self) -> float:
         """Seconds until the breaker will consider a probe (0 if not open)."""
         with self._lock:
@@ -213,8 +269,9 @@ class ResilienceConfig:
     #: Per-stage overrides; a stage named here uses its own budget.
     stage_deadlines: Mapping[str, float] = \
         dataclasses.field(default_factory=dict)
-    #: Transient-DB retry policy (per-query leases, idempotent
-    #: statements only).  ``None`` disables retries.
+    #: Transient-DB retry policy: the per-query lease path replays a
+    #: SELECT outside an explicit transaction, nothing else (a write
+    #: is never retried).  ``None`` disables retries.
     retry: Optional[RetryPolicy] = None
     #: Connection-pool circuit breaker.  ``None`` disables it.
     breaker: Optional[BreakerConfig] = None
@@ -226,3 +283,28 @@ class ResilienceConfig:
     def deadline_for(self, stage: str) -> Optional[float]:
         specific = self.stage_deadlines.get(stage)
         return specific if specific is not None else self.request_deadline
+
+
+def admit_hop(stats, stage: str, arrival: float, clock: Clock,
+              plan: Optional[FaultPlan] = None,
+              resilience: Optional[ResilienceConfig] = None,
+              page_key: Optional[str] = None) -> Generator[float, None, None]:
+    """The gates a hop passes before its handler runs, live and sim.
+
+    First the ``worker`` site: a hang waits, which ages the request
+    toward its deadline, and a crash raises :class:`WorkerCrash`
+    (counted as ``worker_crashes``).  Then the deadline: a job older
+    than its stage's budget raises :class:`DeadlineExpired` (counted
+    as ``deadline_expired``) before it can lease a connection.
+    """
+    if plan is not None:
+        try:
+            yield from plan.gate(SITE_WORKER, page_key, stage)
+        except WorkerCrash:
+            stats.record_resilience(stage, "worker_crashes")
+            raise
+    deadline = (resilience.deadline_for(stage)
+                if resilience is not None else None)
+    if deadline is not None and clock.now() - arrival > deadline:
+        stats.record_resilience(stage, "deadline_expired")
+        raise DeadlineExpired("request deadline expired")

@@ -101,7 +101,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> Dict:
         )
         document["servers"][kind] = {
             "completed": server.stats.total_completions(),
-            "fault_report": server.fault_harness.plan.fault_report(),
+            "fault_report": server.faults.fault_report(),
             "resilience_report": server.stats.resilience_report(),
             "errors": server.stats.errors(),
         }

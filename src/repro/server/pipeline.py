@@ -54,9 +54,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.classifier import RequestClass
 from repro.db.pool import ConnectionPool
-from repro.faults.errors import CircuitOpenError
-from repro.faults.plan import SITE_WORKER, FaultAction, FaultPlan
-from repro.faults.policies import CircuitBreaker, ResilienceConfig
+from repro.faults.errors import CircuitOpenError, DeadlineExpired, WorkerCrash
+from repro.faults.plan import FaultPlan, drive
+from repro.faults.policies import CircuitBreaker, ResilienceConfig, admit_hop
 from repro.http.request import HTTPRequest
 from repro.http.response import HTTPResponse
 from repro.server.app import Application
@@ -90,6 +90,10 @@ class Complete:
 
     response: HTTPResponse
 
+    @property
+    def status(self) -> int:
+        return self.response.status
+
 
 @dataclasses.dataclass(frozen=True)
 class Fail:
@@ -112,6 +116,27 @@ class _Done:
 DONE = _Done()
 
 StageOutcome = Union[RouteTo, Complete, Fail, _Done]
+
+
+def failure_outcome(exc: Exception) -> Union[Complete, Fail]:
+    """The response a hop sends for a failure, on both executors.
+
+    An injected worker crash is a 500 and an expired deadline a 504,
+    both closing the connection; an open breaker is a 503 with
+    ``Retry-After``; anything else a handler raises (a pool timeout, a
+    database or render failure, a plain bug) is the
+    :func:`error_response` completion, so one bad request never kills
+    a worker or leaks a connection.
+    """
+    if isinstance(exc, WorkerCrash):
+        return Fail(500, "worker crashed")
+    if isinstance(exc, DeadlineExpired):
+        return Fail(504, "request deadline expired")
+    if isinstance(exc, CircuitOpenError):
+        retry_after = max(1, int(math.ceil(exc.retry_after)))
+        return Fail(503, "database circuit breaker open",
+                    headers={"Retry-After": str(retry_after)})
+    return Complete(error_response(exc))
 
 
 # ----------------------------------------------------------------------
@@ -357,30 +382,28 @@ class Pipeline:
     def _execute(self, stage: Stage, job: RequestJob) -> None:
         faults = self._faults
         token = None
-        crashed = False
+        refused: Optional[Exception] = None
         try:
             if faults is not None:
                 # The whole hop runs in its request context, so every
                 # site it reaches sees one (page, stage): the worker
                 # site, the socket read, the lease and the queries, and
-                # the write of the response the hop produces.  The
-                # worker site decides first, before the clock is read:
-                # a hang ages the request toward its deadline.
+                # the write of the response the hop produces.
                 token = faults.push_context(job.page_key or None,
                                             stage.name)
-                crashed = self._worker_fault(faults, stage.name)
+            if faults is not None or self._resilience is not None:
+                # Worker site, then deadline, before the clock is read:
+                # a hang ages the request toward its deadline.
+                try:
+                    drive(admit_hop(self.stats, stage.name, job.arrival,
+                                    self.clock, faults, self._resilience),
+                          faults.sleep if faults is not None else time.sleep)
+                except (WorkerCrash, DeadlineExpired) as exc:
+                    refused = exc
             started = self.clock.now()
             queue_wait = job.lifecycle.begin_service(started)
-            deadline = (self._resilience.deadline_for(stage.name)
-                        if self._resilience is not None else None)
-            if crashed:
-                outcome = Fail(500, "worker crashed")
-            elif deadline is not None and started - job.arrival > deadline:
-                # Expired before service even began: fail 504 without
-                # running the handler — and, crucially, without leasing
-                # a connection a doomed request would only waste.
-                self.stats.record_resilience(stage.name, "deadline_expired")
-                outcome = Fail(504, "request deadline expired")
+            if refused is not None:
+                outcome = failure_outcome(refused)
             else:
                 try:
                     scope = None
@@ -399,10 +422,7 @@ class Pipeline:
                 except CircuitOpenError as exc:
                     outcome = self._breaker_outcome(stage, job, exc)
                 except Exception as exc:
-                    # A handler bug must neither kill the worker nor
-                    # leak the connection: it becomes an error response
-                    # to the client.
-                    outcome = Complete(error_response(exc))
+                    outcome = failure_outcome(exc)
             service = self.clock.now() - started
             job.lifecycle.record_hop(stage.name, queue_wait, service)
             self.stats.record_stage_timing(stage.name, queue_wait, service)
@@ -434,26 +454,7 @@ class Pipeline:
             if degraded is not None:
                 self.stats.record_resilience(stage.name, "degraded_served")
                 return Complete(degraded)
-        retry_after = max(1, int(math.ceil(exc.retry_after)))
-        return Fail(503, "database circuit breaker open",
-                    headers={"Retry-After": str(retry_after)})
-
-    def _worker_fault(self, faults: FaultPlan, stage_name: str) -> bool:
-        """Consult the ``worker`` site; True when it injected a crash.
-
-        A hang spends its delay before service begins.  A crash counts
-        ``worker_crashes`` and becomes the 500 a crashed worker sends
-        while its stage owns the job.
-        """
-        decision = faults.decide(SITE_WORKER)
-        if decision is None:
-            return False
-        if decision.action is FaultAction.HANG:
-            faults.sleep(decision.delay)
-        elif decision.action is FaultAction.CRASH:
-            self.stats.record_resilience(stage_name, "worker_crashes")
-            return True
-        return False
+        return failure_outcome(exc)
 
     # ------------------------------------------------------------------
     # Crash containment

@@ -43,15 +43,11 @@ import enum
 import functools
 import threading
 import time
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.db.connection import Connection, Cursor
-from repro.db.errors import (
-    PoolTimeoutError,
-    ProgrammingError,
-    TransientDBError,
-)
-from repro.faults.errors import CircuitOpenError
+from repro.db.errors import ProgrammingError
+from repro.faults.plan import drive, immediate
 from repro.faults.policies import CircuitBreaker, RetryPolicy
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.rng import RandomStream
@@ -157,47 +153,19 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def acquire(self, stage: str, strategy: LeaseStrategy,
                 timeout: Optional[float] = None) -> Lease:
-        if self.breaker is not None and not self.breaker.allow():
-            # Fast-fail instead of queueing another request against an
-            # exhausted pool; the pipeline maps this to 503 +
-            # Retry-After (or a degraded stale-cache response).
-            if self.stats is not None:
-                self.stats.record_resilience(stage, "breaker_fast_fail")
-            raise CircuitOpenError(
-                retry_after=self.breaker.retry_after()
-            )
         started = self.clock.now()
-        try:
+        if self.breaker is None:
             connection = self.pool.acquire(timeout=timeout)
-        except PoolTimeoutError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
+        else:
+            # An open breaker raises CircuitOpenError, which the
+            # pipeline maps to 503 + Retry-After (or a degraded
+            # stale-cache response).
+            with self.breaker.guard(self.stats, stage):
+                connection = self.pool.acquire(timeout=timeout)
         now = self.clock.now()
         with self._mutex:
             self._outstanding += 1
         return Lease(connection, stage, strategy, now - started, now)
-
-    # ------------------------------------------------------------------
-    # Retry support (consumed by PerQueryConnection._run)
-    # ------------------------------------------------------------------
-    def retry_delays(self) -> List[float]:
-        """One statement's backoff schedule (empty when retries are
-        disabled).  Draws jitter from the manager's seeded stream, so
-        a fixed seed yields a bit-reproducible schedule sequence."""
-        if self.retry is None:
-            return []
-        return self.retry.delays(self._retry_stream)
-
-    def note_retry(self, stage: str) -> None:
-        if self.stats is not None:
-            self.stats.record_resilience(stage, "retries")
-
-    def backoff_sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            self._sleeper(seconds)
 
     def release(self, lease: Lease) -> None:
         if lease._released:
@@ -374,37 +342,36 @@ class PerQueryConnection:
         """Execute one statement, leasing unless a transaction holds.
 
         Transient failures (:class:`~repro.db.errors.TransientDBError`)
-        are retried with the manager's backoff policy — but only for
-        idempotent statements outside an explicit transaction: a
-        replayed SELECT cannot double-write, and a transaction must not
-        be split across leases, let alone replayed piecemeal.
+        are retried by the shared loop, :meth:`RetryPolicy.run` — but
+        only for idempotent statements outside an explicit transaction:
+        a replayed SELECT cannot double-write, and a transaction must
+        not be split across leases, let alone replayed piecemeal.  Each
+        attempt releases its lease before the backoff, so no connection
+        is held while waiting.
         """
         if self._sticky is not None:
             cursor = self._sticky.connection.cursor()
             cursor.execute(sql, params)
             return cursor
-        delays = (self._manager.retry_delays()
-                  if _is_idempotent(sql) else [])
-        attempt = 0
-        while True:
-            lease = self._manager.acquire(
-                self._stage, LeaseStrategy.LEASED_PER_QUERY, self._timeout
-            )
-            try:
-                cursor = lease.connection.cursor()
-                cursor.execute(sql, params)
-                return cursor
-            except TransientDBError:
-                if attempt >= len(delays):
-                    raise
-            finally:
-                self._manager.release(lease)
-            # Only the retried transient path reaches here: back off
-            # (lease released — never hold a connection while waiting),
-            # then re-acquire and replay.
-            self._manager.note_retry(self._stage)
-            self._manager.backoff_sleep(delays[attempt])
-            attempt += 1
+        manager = self._manager
+        if manager.retry is None or not _is_idempotent(sql):
+            return self._leased(sql, params)
+        attempts = functools.partial(immediate, self._leased, sql, params)
+        return drive(manager.retry.run(attempts, manager._retry_stream,
+                                       manager.stats, self._stage),
+                     manager._sleeper)
+
+    def _leased(self, sql: str, params) -> Cursor:
+        """One attempt: lease, execute the statement, release."""
+        lease = self._manager.acquire(
+            self._stage, LeaseStrategy.LEASED_PER_QUERY, self._timeout
+        )
+        try:
+            cursor = lease.connection.cursor()
+            cursor.execute(sql, params)
+            return cursor
+        finally:
+            self._manager.release(lease)
 
 
 def _is_idempotent(sql: str) -> bool:

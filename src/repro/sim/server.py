@@ -31,23 +31,28 @@ held/busy accounting lives in the live lease layer
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.classifier import RequestClass
 from repro.core.dispatch import Dispatcher, DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
-from repro.faults.plan import FaultPlan
-from repro.faults.policies import ResilienceConfig
+from repro.db.errors import DatabaseError
+from repro.faults.errors import CircuitOpenError, DeadlineExpired, InjectedFault
+from repro.faults.plan import (
+    SITE_DB_QUERY,
+    SITE_POOL_ACQUIRE,
+    SITE_RENDER,
+    SITE_SOCKET_READ,
+    SITE_SOCKET_WRITE,
+    FaultPlan,
+)
+from repro.faults.policies import CircuitBreaker, ResilienceConfig, admit_hop
 from repro.server.baseline import baseline_stages
-from repro.server.pipeline import Stage
+from repro.server.pipeline import Stage, failure_outcome
 from repro.server.staged import staged_stages
 from repro.server.stats import ServerStats
-from repro.sim.faults import (
-    SimClockAdapter,
-    SimFaultHarness,
-    SimRequestFailed,
-    sim_fault_plan,
-)
+from repro.sim.faults import SimClockAdapter, sim_fault_plan
 from repro.sim.kernel import SimEvent, Simulation
 from repro.sim.resources import PSServer, SimLockTable, SimThreadPool
 from repro.sim.workload import (
@@ -56,6 +61,15 @@ from repro.sim.workload import (
     WorkloadConfig,
     _report_class,
 )
+from repro.util.rng import RandomStream
+
+#: What the shared gates raise (PoolTimeoutError and TransientDBError
+#: are DatabaseErrors, WorkerCrash an InjectedFault); the walker turns
+#: these into error responses and lets anything else, a simulator bug,
+#: propagate.
+_GATE_ERRORS = (DatabaseError, InjectedFault, CircuitOpenError,
+                DeadlineExpired)
+
 
 class _Request(NamedTuple):
     """One request walking the stage table."""
@@ -107,10 +121,8 @@ class SimServer:
             ),
             dispatcher=dispatcher,
         )
-        #: Fault-injection mirror; an empty plan injects nothing and
-        #: draws no randomness.  Replaced by :meth:`configure_faults`.
-        self.fault_harness = SimFaultHarness(sim, sim_fault_plan(sim, ()),
-                                             self.stats)
+        # An empty plan injects nothing and draws no randomness.
+        self.configure_faults(sim_fault_plan(sim, ()))
         self._last_tick = 0.0
         #: Dynamic threads render on their own connection: the
         #: thread-per-request worker, and ablation A5.
@@ -148,15 +160,29 @@ class SimServer:
     # ------------------------------------------------------------------
     def configure_faults(self, plan: FaultPlan,
                          resilience: Optional[ResilienceConfig] = None
-                         ) -> SimFaultHarness:
-        """Mirror a live server's fault plan + policies on sim time.
+                         ) -> None:
+        """Run a live server's fault plan and policies on sim time.
 
         The plan should be built with :func:`repro.sim.faults.
         sim_fault_plan` so its schedule windows read the sim clock.
+        Injections, breaker transitions and policy counters land in
+        :attr:`stats`, as on a live server.
         """
-        self.fault_harness = SimFaultHarness(self.sim, plan, self.stats,
-                                             resilience)
-        return self.fault_harness
+        self.faults = plan
+        if plan.on_inject is None:
+            plan.on_inject = self.stats.record_fault
+        self.resilience = (resilience if resilience is not None
+                           else ResilienceConfig())
+        self.breaker: Optional[CircuitBreaker] = None
+        if self.resilience.breaker is not None:
+            self.breaker = CircuitBreaker(
+                self.resilience.breaker, clock=self.stats.clock,
+                on_transition=self.stats.record_breaker_transition,
+            )
+        # The live LeaseManager's stream name: the same seed draws the
+        # same backoff schedules.
+        self._retry_stream = RandomStream(self.resilience.seed,
+                                          "retry-jitter")
 
     def submit_page(self, profile: PageProfile, jitter: float) -> SimEvent:
         return self.sim.spawn(self._request(
@@ -172,13 +198,16 @@ class SimServer:
     def _request(self, request: _Request):
         """Carry one request through the stage table.
 
-        The gate order is the live request path's: worker site,
-        deadline check, socket read (entry stage only), then whatever
-        the step consults (pool acquire, per-query, render), and the
-        socket write of the response or error.  The page is unknown
-        until the entry step runs, where the live handler parses it.
+        The gate order is the live request path's: worker site and
+        deadline (:func:`admit_hop`), socket read (entry stage only),
+        then whatever the step consults (pool acquire, query, render),
+        and the socket write of the response or error.  The page is
+        unknown until the entry step runs, where the live handler
+        parses it.  A failure becomes the status the live pipeline
+        sends for it (:func:`failure_outcome`); a dropped or short
+        socket write means the response never counts.
         """
-        harness = self.fault_harness
+        faults = self.faults
         arrival = self.sim.now
         page: Optional[str] = None
         stage: Optional[str] = self.entry
@@ -187,23 +216,26 @@ class SimServer:
                 pool, step = self.stages[stage]
                 yield pool.acquire(request.kind, self._priority(request))
                 try:
-                    yield from harness.worker_start(stage, page)
-                    harness.check_deadline(stage, arrival)
-                    if stage == self.entry:
-                        harness.on_client_read(stage)
+                    yield from admit_hop(self.stats, stage, arrival,
+                                         self.stats.clock, faults,
+                                         self.resilience, page)
+                    if (stage == self.entry and faults.decide(
+                            SITE_SOCKET_READ, stage=stage) is not None):
+                        # The client vanished or stalled before sending
+                        # a byte: the live handler closes, sending
+                        # nothing.
+                        return
                     page = request.page
                     last_stage = stage
                     stage = yield from step(request, stage)
                 finally:
                     pool.release()
-        except SimRequestFailed as failure:
-            # The live side sent an error response (or nothing, for a
-            # dropped client); either way no completion is recorded.
-            if (failure.status is not None
-                    and harness.on_client_write(page, stage)):
-                self.stats.record_error(request.page or "?", failure.status)
+        except _GATE_ERRORS as exc:
+            if faults.decide(SITE_SOCKET_WRITE, page, stage) is None:
+                self.stats.record_error(request.page or "?",
+                                        failure_outcome(exc).status)
             return
-        if not harness.on_client_write(page, last_stage):
+        if faults.decide(SITE_SOCKET_WRITE, page, last_stage) is not None:
             return
         self.stats.record_request(
             RequestClass.STATIC if request.profile is None
@@ -243,7 +275,7 @@ class SimServer:
         connection."""
         profile = request.profile
         if profile.render_demand > 0:
-            yield from self.fault_harness.render_gate(request.page, stage)
+            yield from self.faults.gate(SITE_RENDER, request.page, stage)
             yield self.web.serve(profile.render_demand * request.jitter)
 
     def _dynamic(self, request: _Request, stage: str, parse: bool = False):
@@ -257,7 +289,7 @@ class SimServer:
         so there is no wait for one; only the pool's fault site and its
         breaker are consulted."""
         profile = request.profile
-        yield from self.fault_harness.lease_gate(stage, request.page)
+        yield from self._acquire(stage, request.page)
         if parse:
             yield self.web.serve(profile.parse_demand)
         started = self.sim.now
@@ -291,10 +323,28 @@ class SimServer:
             finally:
                 self.locks.release_write(profile.write_table)
 
+    def _acquire(self, stage: str, page: str):
+        """``LeaseManager.acquire`` on the implicit pool: the breaker
+        around the ``db.pool.acquire`` site.  No lease waits for a
+        connection (see the module docstring)."""
+        gate = self.faults.gate(SITE_POOL_ACQUIRE, page, stage)
+        if self.breaker is None:
+            yield from gate
+        else:
+            with self.breaker.guard(self.stats, stage):
+                yield from gate
+
     def _query(self, demand: float, request: _Request, stage: str):
         """One statement behind the live engine's per-statement
-        injection point (delay, transient-with-retry, hard failure)."""
-        yield from self.fault_harness.db_query(stage, request.page)
+        injection point, retried by the live retry loop."""
+        attempt = functools.partial(self.faults.gate, SITE_DB_QUERY,
+                                    request.page, stage)
+        retry = self.resilience.retry
+        if retry is None:
+            yield from attempt()
+        else:
+            yield from retry.run(attempt, self._retry_stream, self.stats,
+                                 stage)
         yield self.db.serve(demand * request.jitter)
 
     # ------------------------------------------------------------------

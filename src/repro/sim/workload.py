@@ -244,7 +244,7 @@ def run_tpcw_simulation(server_kind: str,
     simulated time at the same injection points the live servers
     expose, with ``resilience`` (a :class:`ResilienceConfig`) governing
     deadlines, retry, and the circuit breaker.  The plan's report is
-    then ``server.fault_harness.plan.fault_report()``.
+    then ``server.faults.fault_report()``.
     """
     from repro.sim.server import SimServer
 

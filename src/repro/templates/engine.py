@@ -7,6 +7,7 @@ import os
 import threading
 from typing import Any, Dict, List, Optional
 
+from repro.faults.plan import SITE_RENDER
 from repro.templates.compiler import compile_template
 from repro.templates.context import Context
 from repro.templates.errors import TemplateNotFoundError
@@ -140,7 +141,7 @@ class TemplateEngine:
     def render(self, name: str, data: Optional[Dict[str, Any]] = None) -> str:
         """Convenience: load + render in one call."""
         if self.faults is not None:
-            self.faults.on_render(name)
+            self.faults.consult(SITE_RENDER)
         return self.get_template(name).render(data)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ all on a ManualClock, no servers involved."""
 import pytest
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
-from repro.faults.errors import InjectedFault
+from repro.faults.errors import InjectedFault, WorkerCrash
 from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,
@@ -188,7 +188,7 @@ class TestInterpreterHelpers:
             FaultRule(site=SITE_POOL_ACQUIRE, action=FaultAction.EXHAUST),
         ])
         with pytest.raises(PoolTimeoutError):
-            plan.on_pool_acquire()
+            plan.consult(SITE_POOL_ACQUIRE)
 
     def test_db_transient_and_hard_failures(self):
         plan = make_plan([
@@ -197,16 +197,16 @@ class TestInterpreterHelpers:
             FaultRule(site=SITE_DB_QUERY, action=FaultAction.FAIL),
         ])
         with pytest.raises(TransientDBError):
-            plan.on_db_query()
+            plan.consult(SITE_DB_QUERY)
         with pytest.raises(DatabaseError):
-            plan.on_db_query()
+            plan.consult(SITE_DB_QUERY)
 
     def test_render_failure_raises_injected_fault(self):
         plan = make_plan([
             FaultRule(site=SITE_RENDER, action=FaultAction.FAIL),
         ])
         with pytest.raises(InjectedFault):
-            plan.on_render("page.html")
+            plan.consult(SITE_RENDER)
 
     def test_delay_routes_through_sleeper(self):
         clock = ManualClock()
@@ -214,8 +214,26 @@ class TestInterpreterHelpers:
             FaultRule(site=SITE_DB_QUERY, action=FaultAction.DELAY,
                       delay=2.5),
         ], clock=clock, sleeper=clock.advance)
-        plan.on_db_query()  # must not raise
+        plan.consult(SITE_DB_QUERY)  # must not raise
         assert clock.now() == pytest.approx(2.5)
+
+    def test_gate_yields_the_wait_instead_of_sleeping(self):
+        clock = ManualClock()
+        plan = FaultPlan([
+            FaultRule(site=SITE_RENDER, action=FaultAction.DELAY,
+                      delay=0.5, page_key="/a", stage="render"),
+            FaultRule(site=SITE_WORKER, action=FaultAction.HANG,
+                      delay=1.5, max_times=1),
+            FaultRule(site=SITE_WORKER, action=FaultAction.CRASH),
+        ], clock=clock, sleeper=clock.advance)
+        # The simulator passes page and stage and spends the waits
+        # itself; the sleeper is never called.
+        assert list(plan.gate(SITE_RENDER, "/a", "render")) == [0.5]
+        assert list(plan.gate(SITE_RENDER, "/b", "render")) == []
+        assert list(plan.gate(SITE_WORKER)) == [1.5]
+        with pytest.raises(WorkerCrash):
+            list(plan.gate(SITE_WORKER))
+        assert clock.now() == 0.0
 
     def test_zero_sleep_skips_sleeper(self):
         calls = []

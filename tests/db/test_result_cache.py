@@ -15,6 +15,7 @@ from repro.db.engine import Database
 from repro.db.errors import IntegrityError
 from repro.db.locks import LockMode
 from repro.db.table import Column
+from repro.faults.plan import SITE_DB_QUERY, FaultAction, FaultPlan, FaultRule
 
 SCAN = "SELECT name FROM t WHERE v = %s ORDER BY id"
 #: The join-product counters of a run whose SELECTs join nothing.
@@ -284,16 +285,12 @@ def test_hit_queues_behind_a_waiting_writer(db):
 
 
 def test_faults_fire_on_hits(db):
-    class CountingFaults:
-        calls = 0
-
-        def on_db_query(self):
-            self.calls += 1
-
-    db.faults = CountingFaults()
+    # A zero-delay rule on every statement counts the consultations.
+    db.faults = FaultPlan([FaultRule(site=SITE_DB_QUERY,
+                                     action=FaultAction.DELAY)])
     for _ in range(3):
         db.execute(SCAN, (1,))
-    assert db.faults.calls == 3
+    assert db.faults.injected_total() == 3
     assert stats(db)["hits"] == 2
 
 

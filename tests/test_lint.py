@@ -36,6 +36,12 @@ CASES = {
         os.path.join("repro", "db", "rogue.py"),
         "def f(table, row_id):\n    del table.rows[row_id]\n", 2,
     ),
+    "fault-actions": (
+        os.path.join("repro", "sim", "rogue.py"),
+        "def f(decision):\n"
+        "    if decision.action is FaultAction.DELAY:\n"
+        "        return decision.delay\n", 2,
+    ),
     "sleep-free": (
         "test_rogue.py",
         "import time\n\ndef test_x():\n    time.sleep(0.5)\n", 4,
@@ -65,6 +71,14 @@ CLEAN_SOURCES = {
                   "row_ids = list(table.rows.keys())\n"
                   "value = table.rows[1]['v']\n"
                   "copy = dict(table.rows.get(1))\ncopy['v'] = 2\n",
+    "fault-actions": "# never decision.action is FaultAction.DELAY\n"
+                     "from repro.faults import plan\n"
+                     "doc = 'x.action is FaultAction.DROP'\n"
+                     "rule = FaultRule(site=SITE_RENDER,\n"
+                     "                 action=FaultAction.DELAY)\n"
+                     "rules = [plan.FaultRule(site=SITE_WORKER,\n"
+                     "                        action=plan.FaultAction.CRASH)]\n"
+                     "same = rule.site == SITE_RENDER\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
                   "    clock.advance(5.0)\n",
@@ -95,7 +109,8 @@ class TestFindViolations:
         attribute = {"submit": "pool.submit", "acquire": "pool.acquire",
                      "codegen": "eval", "sleep-free": "time.sleep",
                      "metrics": "WelfordAccumulator()",
-                     "table-rows": "table.rows.pop"}[name]
+                     "table-rows": "table.rows.pop",
+                     "fault-actions": "d.action is FaultAction.DELAY"}[name]
         write(tmp_path, "alias.py", f"x = 1\nwait = {attribute}\n")
         assert [v[1] for v in find_violations(RULES[name],
                                               str(tmp_path))] == [2]
@@ -155,6 +170,27 @@ def test_sleep_imported_from_time_counts(tmp_path):
 def test_every_rows_mutation_counts(statement, tmp_path):
     write(tmp_path, "rogue.py", f"x = 1\n{statement}\n")
     violations = find_violations(RULES["table-rows"], str(tmp_path))
+    assert [v[1] for v in violations] == [2]
+
+
+@pytest.mark.parametrize("statement", [
+    "decision.action is FaultAction.HANG",
+    "decision.action == plan.FaultAction.CRASH",
+    "FaultAction.DROP is not decision.action",
+    "decision.action in (FaultAction.DELAY, FaultAction.HANG)",
+])
+def test_every_fault_action_comparison_counts(statement, tmp_path):
+    write(tmp_path, "rogue.py", f"x = 1\nflag = {statement}\n")
+    violations = find_violations(RULES["fault-actions"], str(tmp_path))
+    assert [v[1] for v in violations] == [2]
+
+
+def test_fault_action_match_case_counts(tmp_path):
+    write(tmp_path, "rogue.py",
+          "match decision.action:\n"
+          "    case FaultAction.DELAY:\n"
+          "        pass\n")
+    violations = find_violations(RULES["fault-actions"], str(tmp_path))
     assert [v[1] for v in violations] == [2]
 
 

@@ -40,6 +40,14 @@ only referenced (``f = pool.submit`` would dodge a call-site grep).
   table.rows; rows[k] = v``, or a row dict taken from ``Table.scan()``),
   nor a rebinding of ``.rows`` itself (``ResultSet`` has a ``rows``
   attribute too).  Those stay a review matter.
+- ``fault-actions``: only ``faults/plan.py`` and ``server/netbase.py``
+  compare a ``FaultAction`` member (``d.action is FaultAction.DELAY``,
+  or a ``case FaultAction.DELAY:``).  What an action does at a site is
+  written once, in ``FaultPlan.gate`` (the sockets keep theirs in
+  ``netbase.py``); every other layer, the simulator included, runs
+  that interpreter.  A second reading of the actions is the copy that
+  drifts.  Building a rule (``FaultRule(action=FaultAction.DELAY)``)
+  is not a comparison and stays legal everywhere.
 - ``sleep-free``: the chaos suite never sleeps.  Injected delays, retry
   backoff and breaker timeouts run on a ``ManualClock`` or the sim
   clock, so ``time.sleep`` there hides a race behind wall time.
@@ -112,6 +120,26 @@ def _mutates_rows(node: ast.AST) -> bool:
             and _reaches_rows(node.value))
 
 
+def _is_fault_action(node: ast.AST) -> bool:
+    """``FaultAction``, bare or as a module attribute."""
+    return ((isinstance(node, ast.Name) and node.id == "FaultAction")
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "FaultAction"))
+
+
+def _names_fault_action(node: ast.AST) -> bool:
+    """Whether ``node`` mentions a member ``FaultAction.X``."""
+    return any(isinstance(sub, ast.Attribute) and _is_fault_action(sub.value)
+               for sub in ast.walk(node))
+
+
+def _compares_fault_action(node: ast.AST) -> bool:
+    if isinstance(node, ast.Compare):
+        return any(_names_fault_action(operand)
+                   for operand in (node.left, *node.comparators))
+    return isinstance(node, ast.MatchValue) and _names_fault_action(node)
+
+
 def _constructs(*names: str) -> Callable[[ast.AST], bool]:
     def match(node: ast.AST) -> bool:
         if not isinstance(node, ast.Call):
@@ -171,6 +199,14 @@ RULES = {rule.name: rule for rule in (
     }), _mutates_rows,
         "table rows mutated outside db/table.py (go through Table.insert, "
         "update_row or delete_row, which bump Table.version)"),
+    Rule("fault-actions", "src", frozenset({
+        # THE interpreter of the gated sites.
+        os.path.join("repro", "faults", "plan.py"),
+        # The socket sites' live semantics.
+        os.path.join("repro", "server", "netbase.py"),
+    }), _compares_fault_action,
+        "FaultAction compared outside faults/plan.py and "
+        "server/netbase.py (run FaultPlan.gate instead)"),
     Rule("sleep-free", os.path.join("tests", "chaos"), frozenset(),
          _uses_time_sleep,
          "time.sleep in the chaos suite (drive the ManualClock or sim "
