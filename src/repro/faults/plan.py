@@ -325,7 +325,7 @@ class FaultPlan:
     def fault_report(self) -> Dict:
         """Deterministic summary of everything injected so far.
 
-        Keyed identically on the live servers and the sim mirror —
+        Keyed identically on the live servers and the simulator —
         the parity tests compare these documents verbatim.
         """
         with self._lock:

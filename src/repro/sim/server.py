@@ -18,20 +18,22 @@ locks — and embeds the *real* :class:`repro.core.SchedulingPolicy`:
 dispatch decisions, the service-time tracker, and the treserve
 controller run the production code against simulated time.
 
-The simulator models threads, not connections.  Connections are
-assigned only to the threads that touch the database (paper §1), one
-each: the staged pools' general and lengthy threads, or every worker
-of a thread-per-request server.  A connection is therefore never
-waited for, and it is held exactly while its thread is held, so the
-thread pools already carry the whole resource story.  Connection
-held/busy accounting lives in the live lease layer
+Every table declares :data:`LeaseStrategy.LEASED_PER_QUERY`, the one
+strategy the simulator runs (a table declaring another is rejected):
+each modelled statement — a page's read phase, then its write phase —
+passes the breaker and the ``db.pool.acquire`` site, then
+``db.query``, and only a read is retried, as on the live per-query
+path.  A page with no query never touches the pool.  The implicit
+pool holds one connection per database thread (the staged pools'
+general and lengthy threads, or every thread-per-request worker), so
+no lease ever waits and the thread pools carry the whole performance
+model.  Connection held/busy accounting lives in the live lease layer
 (:class:`repro.server.resources.LeaseManager` feeding
 :meth:`repro.server.stats.ServerStats.connection_utilization`).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.classifier import RequestClass
@@ -50,6 +52,7 @@ from repro.faults.plan import (
 from repro.faults.policies import CircuitBreaker, ResilienceConfig, admit_hop
 from repro.server.baseline import baseline_stages
 from repro.server.pipeline import Stage, failure_outcome
+from repro.server.resources import LeaseStrategy
 from repro.server.staged import staged_stages
 from repro.server.stats import ServerStats
 from repro.sim.faults import SimClockAdapter, sim_fault_plan
@@ -128,6 +131,14 @@ class SimServer:
         #: thread-per-request worker, and ablation A5.
         self.render_inline = kind != "staged"
         table = TOPOLOGIES[kind](self)
+        strategies = {stage.resources.strategy for stage in table
+                      if stage.resources is not None}
+        if strategies != {LeaseStrategy.LEASED_PER_QUERY}:
+            raise ValueError(
+                f"the simulator models per-query leases; the {kind!r} "
+                f"table declares {sorted(s.value for s in strategies)}")
+        #: What the stage table declares (see the module docstring).
+        self.lease_strategy = LeaseStrategy.LEASED_PER_QUERY
         #: name -> (pool, step); the first declared stage is the entry.
         self.stages: Dict[str, Tuple[SimThreadPool, Callable]] = {
             stage.name: (SimThreadPool(sim, stage.name, stage.size),
@@ -232,7 +243,7 @@ class SimServer:
                     pool.release()
         except _GATE_ERRORS as exc:
             if faults.decide(SITE_SOCKET_WRITE, page, stage) is None:
-                self.stats.record_error(request.page or "?",
+                self.stats.record_error(page or "?",
                                         failure_outcome(exc).status)
             return
         if faults.decide(SITE_SOCKET_WRITE, page, last_stage) is not None:
@@ -279,17 +290,11 @@ class SimServer:
             yield self.web.serve(profile.render_demand * request.jitter)
 
     def _dynamic(self, request: _Request, stage: str, parse: bool = False):
-        """Data generation on a connection-holding thread: run the
-        database phase and feed the measured time to the classifier,
-        exactly as the live server does when the unrendered template is
-        enqueued (§3.3).  Without a render stage this thread renders
-        too, its connection idle.
-
-        The connection is this thread's own (see the module docstring),
-        so there is no wait for one; only the pool's fault site and its
-        breaker are consulted."""
+        """Data generation on a database thread: run the database
+        phase and feed the measured time to the classifier, exactly as
+        the live server does when the unrendered template is enqueued
+        (§3.3).  Without a render stage this thread renders too."""
         profile = request.profile
-        yield from self._acquire(stage, request.page)
         if parse:
             yield self.web.serve(profile.parse_demand)
         started = self.sim.now
@@ -319,33 +324,38 @@ class SimServer:
             yield self.locks.acquire_write(profile.write_table)
             try:
                 yield from self._query(profile.write_demand, request,
-                                       stage)
+                                       stage, retried=False)
             finally:
                 self.locks.release_write(profile.write_table)
 
-    def _acquire(self, stage: str, page: str):
-        """``LeaseManager.acquire`` on the implicit pool: the breaker
-        around the ``db.pool.acquire`` site.  No lease waits for a
-        connection (see the module docstring)."""
-        gate = self.faults.gate(SITE_POOL_ACQUIRE, page, stage)
-        if self.breaker is None:
-            yield from gate
-        else:
-            with self.breaker.guard(self.stats, stage):
-                yield from gate
+    def _query(self, demand: float, request: _Request, stage: str,
+               retried: bool = True):
+        """One modelled statement on the live per-query lease path.
 
-    def _query(self, demand: float, request: _Request, stage: str):
-        """One statement behind the live engine's per-statement
-        injection point, retried by the live retry loop."""
-        attempt = functools.partial(self.faults.gate, SITE_DB_QUERY,
-                                    request.page, stage)
+        Each attempt leases (``LeaseManager.acquire``: the breaker
+        around the ``db.pool.acquire`` site; no lease waits, see the
+        module docstring), passes the engine's ``db.query`` site and
+        runs.  A read's transient failure is retried by the live retry
+        loop; a write, like the live INSERT, is never replayed.
+        """
+        page = request.page
+
+        def attempt():
+            gate = self.faults.gate(SITE_POOL_ACQUIRE, page, stage)
+            if self.breaker is None:
+                yield from gate
+            else:
+                with self.breaker.guard(self.stats, stage):
+                    yield from gate
+            yield from self.faults.gate(SITE_DB_QUERY, page, stage)
+            yield self.db.serve(demand * request.jitter)
+
         retry = self.resilience.retry
-        if retry is None:
-            yield from attempt()
-        else:
+        if retried and retry is not None:
             yield from retry.run(attempt, self._retry_stream, self.stats,
                                  stage)
-        yield self.db.serve(demand * request.jitter)
+        else:
+            yield from attempt()
 
     # ------------------------------------------------------------------
     # 1 Hz sampling
@@ -373,10 +383,12 @@ class SimServer:
 #: is the thread-per-request table plus its priority.
 TOPOLOGIES: Dict[str, Callable[[SimServer], List[Stage]]] = {
     "baseline": lambda server: baseline_stages(
-        server.config.baseline_workers, server._worker),
+        server.config.baseline_workers, server._worker,
+        LeaseStrategy.LEASED_PER_QUERY),
     "staged": lambda server: staged_stages(
         server.policy.config, server._header, server._static,
-        server._dynamic, server._render, server.render_inline),
+        server._dynamic, server._render, server.render_inline,
+        LeaseStrategy.LEASED_PER_QUERY),
 }
 TOPOLOGIES["sjf"] = TOPOLOGIES["baseline"]
 TOPOLOGIES["staged-render-inline"] = TOPOLOGIES["staged"]

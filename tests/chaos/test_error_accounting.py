@@ -3,7 +3,9 @@ run as on the live servers (tests/server/test_live_servers.py covers
 the live side).  Every abandoned request that the live server would
 answer with an error status lands in the per-page, per-status error
 counter, and the totals line up with the policy counters that caused
-them."""
+them: a 500 is a worker crash, a pool exhaustion, or a
+``db.query`` transient that was not retried (a write's, or a read's
+last)."""
 
 import json
 from pathlib import Path
@@ -43,7 +45,9 @@ def test_error_totals_match_the_policies_that_caused_them(document, kind):
     assert totals.get("504", 0) == sum(s["deadline_expired"] for s in stages)
     assert totals.get("500", 0) == (
         sum(s["worker_crashes"] for s in stages)
-        + injected.get("db.pool.acquire:exhaust", 0))
+        + injected.get("db.pool.acquire:exhaust", 0)
+        + injected.get("db.query:transient", 0)
+        - sum(s["retries"] for s in stages))
     assert sum(totals.values()) > 0
 
 

@@ -15,6 +15,10 @@ each site sees the same ``(page, stage)`` on both sides: page- and
 stage-filtered socket writes, the write of an error response, a
 page-filtered worker crash on the entry stage (where no page is known
 yet), and socket reads, which decide before the request is parsed.
+Three more pin the lease path the simulator declares, per-query: a
+page without SQL never acquires, a write is never retried, and an
+entry-stage crash is recorded under ``"?"``.  The live servers run the
+lease strategy the simulator's stage table declares.
 """
 
 import pytest
@@ -37,7 +41,6 @@ from repro.http.client import http_request
 from repro.http.errors import BadRequestError
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
-from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.sim.faults import sim_fault_plan
 from repro.sim.kernel import Simulation
@@ -106,6 +109,11 @@ def build_parity_app():
     def beta():
         return ("page.html", {"v": 0})
 
+    @app.expose("/delta")
+    def delta():
+        app.getconn().execute("INSERT INTO t (v) VALUES (8)")
+        return ("page.html", {"v": 8})
+
     return app, database
 
 
@@ -169,7 +177,32 @@ def site_cases(kind):
             (FaultRule(site=SITE_WORKER, action=FaultAction.HANG,
                        page_key="/beta", stage="general", delay=0.01),),
             SCRIPT, 0 if kind == "baseline" else 2),
+        **{case: (rules, script, 1)
+           for case, (rules, script, _errors) in DRIFT_CASES.items()},
     }
+
+
+#: Cases where the simulator once ran per-request leasing, retried
+#: writes, or named an entry-stage error by its page: case ->
+#: (rules, script, the live errors).
+DRIFT_CASES = {
+    # Only a statement leases a connection: /beta issues none, so the
+    # one exhaustion falls on /alpha's SELECT.
+    "exhaust-first-acquire": (
+        (FaultRule(site=SITE_POOL_ACQUIRE, action=FaultAction.EXHAUST,
+                   max_times=1),),
+        ("/beta", "/alpha"), {"/alpha": {"500": 1}}),
+    # An INSERT is never replayed: its transient is the page's 500.
+    "write-transient": (
+        (FaultRule(site=SITE_DB_QUERY, action=FaultAction.TRANSIENT,
+                   page_key="/delta", max_times=1),),
+        ("/delta",), {"/delta": {"500": 1}}),
+    # The entry stage crashes before the request is parsed: no page.
+    "entry-crash-unfiltered": (
+        (FaultRule(site=SITE_WORKER, action=FaultAction.CRASH,
+                   max_times=1),),
+        ("/alpha", "/beta"), {"?": {"500": 1}}),
+}
 
 
 SITE_CASES = sorted(site_cases("staged"))
@@ -184,6 +217,12 @@ def fetch_status(host, port, path):
         return None
 
 
+def sim_lease_strategy(kind):
+    """The lease strategy the simulator's stage table declares."""
+    return SimServer(Simulation(), WorkloadConfig.quick(seed=PARITY_SEED),
+                     kind).lease_strategy
+
+
 def run_live(kind, rules=PARITY_RULES, script=SCRIPT):
     """The script against a real server; returns statuses and reports."""
     clock = ManualClock()
@@ -192,7 +231,7 @@ def run_live(kind, rules=PARITY_RULES, script=SCRIPT):
     app, database = build_parity_app()
     server = LIVE_SERVERS[kind](
         app, ConnectionPool(database, 4),
-        lease_strategy=LeaseStrategy.LEASED_PER_QUERY, clock=clock,
+        lease_strategy=sim_lease_strategy(kind), clock=clock,
         faults=plan, resilience=PARITY_RESILIENCE,
     )
     server.start()
@@ -214,6 +253,9 @@ SIM_PROFILES = {
                          read_tables=()),
     "/gamma": PageProfile("/gamma", db_demand=0.001, render_demand=0.001,
                           read_tables=()),
+    "/delta": PageProfile("/delta", db_demand=0.0, render_demand=0.001,
+                          read_tables=(), write_table="t",
+                          write_demand=0.001),
 }
 
 
@@ -260,6 +302,15 @@ class TestFaultParity:
         _statuses, *live = run_live(kind, rules, script)
         assert live[0]["total_injected"] == injected
         assert list(run_sim(kind, rules, script)) == live
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_drift_cases_pin_the_live_outcome(self, kind, case):
+        rules, script, errors = DRIFT_CASES[case]
+        _statuses, _faults, resilience, live_errors = run_live(
+            kind, rules, script)
+        assert live_errors == errors
+        assert all(stage["retries"] == 0
+                   for stage in resilience["stages"].values())
 
     def test_two_consecutive_live_runs_are_identical(self, kind):
         first = run_live(kind)

@@ -5,6 +5,9 @@ import dataclasses
 import pytest
 
 from repro.core.dispatch import StrictSeparationDispatcher
+from repro.server.baseline import baseline_stages
+from repro.server.resources import LeaseStrategy
+from repro.sim import server as sim_server
 from repro.sim.kernel import Simulation
 from repro.sim.server import SimServer
 from repro.sim.workload import (
@@ -101,6 +104,17 @@ class TestStageTables:
         assert [(name, pool.size) for name, (pool, _step)
                 in server.stages.items()] == expected
         assert server.entry == expected[0][0]
+
+    @pytest.mark.parametrize("kind", sorted(sim_server.TOPOLOGIES))
+    def test_tables_declare_per_query_leases(self, kind):
+        server = SimServer(Simulation(), tiny_config(), kind)
+        assert server.lease_strategy is LeaseStrategy.LEASED_PER_QUERY
+
+    def test_table_with_another_lease_strategy_rejected(self, monkeypatch):
+        monkeypatch.setitem(sim_server.TOPOLOGIES, "baseline",
+                            lambda server: baseline_stages(8, server._worker))
+        with pytest.raises(ValueError, match="per-query"):
+            SimServer(Simulation(), tiny_config(), "baseline")
 
 
 class TestSimulationRuns:
