@@ -35,7 +35,8 @@ import dataclasses
 import enum
 import threading
 import time
-from typing import Callable, Dict, Generator, Iterator, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterator, Optional, Sequence,
+                    Tuple)
 
 from repro.db.errors import DatabaseError, PoolTimeoutError, TransientDBError
 from repro.faults.errors import InjectedFault, WorkerCrash
@@ -357,11 +358,3 @@ def drive(steps: Iterator[float], sleep: Callable[[float], None]):
                 sleep(seconds)
     except StopIteration as stop:
         return stop.value
-
-
-def immediate(function: Callable, *args) -> Generator[float, None, object]:
-    """``function(*args)`` as an interpreter step that waits for
-    nothing: how a live caller hands a blocking call to a shared loop
-    that the simulator feeds with steps that do wait."""
-    return function(*args)
-    yield  # unreachable: it makes this function a generator

@@ -85,7 +85,7 @@ class RetryPolicy:
         return schedule
 
     def run(self, attempt: Callable[[], Iterator], rng: random.Random,
-            stats=None, stage: str = ""):
+            stats, stage: str):
         """The retry loop of one leased statement.
 
         ``yield from`` ``attempt()`` until it returns; after each
@@ -218,7 +218,7 @@ class CircuitBreaker:
         self._notify(transitioned)
 
     @contextlib.contextmanager
-    def guard(self, stats=None, stage: str = ""):
+    def guard(self, stats, stage: str):
         """The breaker around one pool acquire.
 
         While open it fast-fails with :class:`CircuitOpenError`
@@ -286,8 +286,8 @@ class ResilienceConfig:
 
 
 def admit_hop(stats, stage: str, arrival: float, clock: Clock,
-              plan: Optional[FaultPlan] = None,
-              resilience: Optional[ResilienceConfig] = None,
+              plan: Optional[FaultPlan],
+              resilience: Optional[ResilienceConfig],
               page_key: Optional[str] = None) -> Generator[float, None, None]:
     """The gates a hop passes before its handler runs, live and sim.
 

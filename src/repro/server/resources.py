@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from repro.db.connection import Connection, Cursor
 from repro.db.errors import ProgrammingError
-from repro.faults.plan import drive, immediate
+from repro.faults.plan import drive
 from repro.faults.policies import CircuitBreaker, RetryPolicy
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.rng import RandomStream
@@ -356,8 +356,14 @@ class PerQueryConnection:
         manager = self._manager
         if manager.retry is None or not _is_idempotent(sql):
             return self._leased(sql, params)
-        attempts = functools.partial(immediate, self._leased, sql, params)
-        return drive(manager.retry.run(attempts, manager._retry_stream,
+
+        def attempt():
+            # The live attempt waits inside the pool and the engine, so
+            # as a step of the shared loop it yields nothing itself.
+            return self._leased(sql, params)
+            yield  # unreachable: it makes this function a generator
+
+        return drive(manager.retry.run(attempt, manager._retry_stream,
                                        manager.stats, self._stage),
                      manager._sleeper)
 

@@ -17,8 +17,9 @@ reproducible in seconds:
   whose stage table names the topology (thread-per-request, the
   five-pool design, its render-inline ablation, or SJF), embedding the
   *real* :class:`repro.core.SchedulingPolicy`.
-- :mod:`repro.sim.faults` — the live fault-injection sites and
-  resilience policies, re-expressed on simulated time.
+- :mod:`repro.sim.faults` — fault plans and stats on the sim clock;
+  the server runs the live fault interpreters and resilience policies
+  themselves.
 - :mod:`repro.sim.workload` — per-page service-demand profiles and the
   closed-loop emulated browsers.
 

@@ -40,7 +40,11 @@ from repro.core.classifier import RequestClass
 from repro.core.dispatch import Dispatcher, DynamicPoolChoice
 from repro.core.policy import PolicyConfig, SchedulingPolicy
 from repro.db.errors import DatabaseError
-from repro.faults.errors import CircuitOpenError, DeadlineExpired, InjectedFault
+from repro.faults.errors import (
+    CircuitOpenError,
+    DeadlineExpired,
+    InjectedFault,
+)
 from repro.faults.plan import (
     SITE_DB_QUERY,
     SITE_POOL_ACQUIRE,

@@ -76,8 +76,8 @@ CLEAN_SOURCES = {
                      "doc = 'x.action is FaultAction.DROP'\n"
                      "rule = FaultRule(site=SITE_RENDER,\n"
                      "                 action=FaultAction.DELAY)\n"
-                     "rules = [plan.FaultRule(site=SITE_WORKER,\n"
-                     "                        action=plan.FaultAction.CRASH)]\n"
+                     "rules = [plan.FaultRule(\n"
+                     "    site=SITE_WORKER, action=plan.FaultAction.CRASH)]\n"
                      "same = rule.site == SITE_RENDER\n",
     "sleep-free": "# never time.sleep() in chaos tests\nimport time\n\n"
                   "def test_x(clock):\n    t = time.monotonic()\n"
