@@ -8,6 +8,7 @@ designs — the thread-pool topology and scheduling.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 from typing import Callable, Optional, Tuple
@@ -27,6 +28,8 @@ from repro.http.response import HTTPResponse
 DEFAULT_SOCKET_TIMEOUT = 30.0
 
 _RECV_SIZE = 65536
+
+_log = logging.getLogger(__name__)
 
 
 class ClientConnection:
@@ -191,6 +194,17 @@ class ClientConnection:
             except OSError:  # pragma: no cover - double close race
                 pass
 
+    def shutdown(self) -> None:
+        """End both directions but keep the fd until :meth:`close`.
+
+        The peer sees EOF and the socket turns readable, while its fd
+        number stays allocated.
+        """
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # peer already gone
+            pass
+
     def close_after_error(self) -> None:
         """Close without losing an in-flight error response.
 
@@ -291,6 +305,8 @@ class PeriodicTask:
             except Exception as exc:  # sampler must not die, but must count
                 self.errors += 1
                 self.last_error = exc
+                _log.error("periodic task %r raised", self._thread.name,
+                           exc_info=exc)
 
     def stop(self) -> None:
         self._stopping.set()

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import logging
 import math
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -67,12 +68,13 @@ from repro.server.netbase import (
     Listener,
     PeriodicTask,
 )
-from repro.server.pools import PoolOverloadedError, ThreadPool
+from repro.server.pools import PoolOverloadedError, Task, ThreadPool
 from repro.server.reactor import ConnectionReactor
 from repro.server.resources import DatabaseResource, LeaseManager
 from repro.server.stats import ServerStats
 from repro.util.clock import Clock, MonotonicClock
 
+_log = logging.getLogger(__name__)
 
 # ----------------------------------------------------------------------
 # Stage outcomes
@@ -154,19 +156,22 @@ class StageTiming:
 class RequestLifecycle:
     """The per-request latency ledger threaded through every hop.
 
-    ``arrival`` is the moment the reactor dispatched the connection
-    into the pipeline, so the response time recorded at completion
-    includes entry-queue wait — a request that sat five seconds in the
-    header queue really did take five seconds longer, whether or not a
-    thread had picked it up yet.
+    ``arrival`` is the moment the connection entered the pipeline: when
+    an entry worker took it from the reactor, or when the reactor
+    queued it at the entry stage, so the response time recorded at
+    completion includes entry-queue wait — a request that sat five
+    seconds in the header queue really did take five seconds longer,
+    whether or not a thread had picked it up yet.  A taken job
+    (``queued=False``) waited in no queue: its first hop's queue wait
+    is 0.
     """
 
     __slots__ = ("arrival", "hops", "_enqueued_at")
 
-    def __init__(self, arrival: float):
+    def __init__(self, arrival: float, queued: bool = True):
         self.arrival = arrival
         self.hops: List[StageTiming] = []
-        self._enqueued_at = arrival
+        self._enqueued_at: Optional[float] = arrival if queued else None
 
     def mark_enqueued(self, now: float) -> None:
         """The job just entered some stage's queue."""
@@ -174,6 +179,8 @@ class RequestLifecycle:
 
     def begin_service(self, now: float) -> float:
         """A worker picked the job up; returns the queue wait."""
+        if self._enqueued_at is None:
+            return 0.0
         return now - self._enqueued_at
 
     def record_hop(self, stage: str, queue_wait: float,
@@ -242,9 +249,9 @@ class Pipeline:
     ----------
     stages:
         Stage declarations.  The first declared stage is the entry: it
-        receives freshly dispatched connections.  Pools shut down in
-        declaration order, upstream first, so draining stages can still
-        route downstream.
+        receives ready connections.  Pools shut down in declaration
+        order, upstream first, so draining stages can still route
+        downstream.
     stats:
         Sink for per-stage queue samples, hop timings, completions.
     clock:
@@ -259,6 +266,12 @@ class Pipeline:
         ``Stage.resources``.  Required when any stage declares a
         :class:`DatabaseResource`; stages without resources never
         touch it.
+    reactor:
+        The :class:`ConnectionReactor` whose ready connections the
+        entry stage takes: an idle entry worker waits in
+        :meth:`ConnectionReactor.take` instead of on its queue, and
+        runs what it pops with no queue in between.  Without one,
+        connections enter only through :meth:`dispatch`.
     """
 
     def __init__(self, stages: Sequence[Stage],
@@ -271,7 +284,8 @@ class Pipeline:
                  on_degraded: Optional[
                      Callable[["RequestJob"], Optional[HTTPResponse]]] = None,
                  stale_store: Optional[
-                     Callable[["RequestJob", HTTPResponse], None]] = None):
+                     Callable[["RequestJob", HTTPResponse], None]] = None,
+                 reactor: Optional[ConnectionReactor] = None):
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
         names = [stage.name for stage in stages]
@@ -296,8 +310,12 @@ class Pipeline:
         #: serving has a last-known-good copy to fall back on.
         self._stale_store = stale_store
         self._accepting = True
+        self._reactor = reactor
+        self._executors: Dict[str, Callable[[RequestJob], None]] = {
+            stage.name: functools.partial(self._execute, stage)
+            for stage in self.stages
+        }
         self._pools: Dict[str, ThreadPool] = {}
-        self._executors: Dict[str, Callable[[RequestJob], None]] = {}
         for stage in self.stages:
             init = cleanup = None
             if stage.resources is not None:
@@ -317,9 +335,8 @@ class Pipeline:
                 error_handler=functools.partial(
                     self._on_worker_error, stage.name
                 ),
-            )
-            self._executors[stage.name] = functools.partial(
-                self._execute, stage
+                take=(self._take if reactor is not None
+                      and stage.name == self.entry else None),
             )
 
     # ------------------------------------------------------------------
@@ -334,7 +351,7 @@ class Pipeline:
     # Entry and internal routing
     # ------------------------------------------------------------------
     def dispatch(self, client: ClientConnection) -> None:
-        """Admit a ready connection at the entry stage.
+        """Queue a ready connection at the entry stage.
 
         Overload (:class:`PoolOverloadedError`) and shutdown
         (``RuntimeError``) propagate to the caller: the reactor is the
@@ -345,6 +362,17 @@ class Pipeline:
         job = RequestJob(client=client, lifecycle=RequestLifecycle(now),
                          stage=self.entry)
         self._pools[self.entry].submit(self._executors[self.entry], job)
+
+    def _take(self, queued: Callable[[], bool]) -> Optional[Task]:
+        """An idle entry worker's next job, straight from the reactor."""
+        client = self._reactor.take(queued)
+        if client is None:
+            return None
+        job = RequestJob(client=client,
+                         lifecycle=RequestLifecycle(self.clock.now(),
+                                                    queued=False),
+                         stage=self.entry)
+        return self._executors[self.entry], job
 
     def submit(self, name: str, job: RequestJob) -> None:
         """Route a job to stage ``name``, absorbing overload/shutdown.
@@ -472,8 +500,12 @@ class Pipeline:
         if not isinstance(item, RequestJob):
             return
         if item.finished or item.stage != stage_name:
+            _log.warning("stage %r crashed after its job left it: %r",
+                         stage_name, exc)
             self.stats.record_resilience(stage_name, "late_completions")
             return
+        _log.warning("stage %r crashed: failing %s with 500: %r",
+                     stage_name, item.page_key or "the request", exc)
         self.fail(item, 500, "worker crashed")
 
     # ------------------------------------------------------------------
@@ -557,7 +589,9 @@ class Pipeline:
         Upstream stages shut down first so a draining downstream stage
         never receives work from a pool that outlived it; a job caught
         routing into an already-stopped pool gets a clean close via
-        :meth:`submit`'s ``RuntimeError`` path.
+        :meth:`submit`'s ``RuntimeError`` path.  The reactor must be
+        stopped first: its stop returns the entry workers waiting in
+        ``take`` to their queue, where the shutdown sentinels are.
         """
         self.stop_accepting()
         for stage in self.stages:
@@ -573,7 +607,8 @@ class PipelineServer:
     Owns the pieces every server topology needs and that used to be
     duplicated between the staged and baseline servers: the accepting
     :class:`Listener`, the :class:`ConnectionReactor` parking idle
-    keep-alive sockets, the periodic queue sampler, the
+    keep-alive sockets (whose ready connections the entry stage takes),
+    the periodic queue sampler, the
     :class:`LeaseManager` that provisions declared stage resources,
     and the start/stop ordering (listener first in, pools last out).
 
@@ -630,6 +665,15 @@ class PipelineServer:
             sleeper=sleeper,
         )
         degraded = (resilience is not None and resilience.degraded_serving)
+        # Built before the pipeline: the entry workers wait in its
+        # take() from the moment their threads start.
+        self.reactor = ConnectionReactor(
+            self._dispatch,
+            idle_timeout=idle_timeout if idle_timeout is not None
+            else socket_timeout,
+            max_connections=max_connections,
+        )
+        self.stats.reactor_gauges = self.reactor.gauges
         # Pools start their threads (and run worker_init) inside the
         # Pipeline constructor — app/connection_pool must already be
         # set, which is why they are assigned first.
@@ -644,14 +688,8 @@ class PipelineServer:
             resilience=resilience,
             on_degraded=self._degraded_response if degraded else None,
             stale_store=self._store_stale if degraded else None,
+            reactor=self.reactor,
         )
-        self.reactor = ConnectionReactor(
-            self.pipeline.dispatch,
-            idle_timeout=idle_timeout if idle_timeout is not None
-            else socket_timeout,
-            max_connections=max_connections,
-        )
-        self.stats.reactor_gauges = self.reactor.gauges
         self._listener = Listener(host, port, self._on_accept,
                                   socket_timeout=socket_timeout,
                                   faults=faults)
@@ -697,6 +735,10 @@ class PipelineServer:
         # Park even fresh connections: a client that connects and says
         # nothing must never occupy a worker thread.
         self.reactor.park(client)
+
+    def _dispatch(self, client: ClientConnection) -> None:
+        """Reactor hook: queue a ready connection at the entry stage."""
+        self.pipeline.dispatch(client)
 
     def _park(self, client: ClientConnection) -> None:
         """Pipeline completion hook: keep-alive sockets re-park."""

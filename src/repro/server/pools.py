@@ -8,11 +8,17 @@ general pool) and ``queue_length`` (the series plotted in Figures 7–8).
 
 from __future__ import annotations
 
+import logging
 import queue
 import threading
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
+
+_log = logging.getLogger(__name__)
 
 _SHUTDOWN = object()
+
+#: A queued or taken unit of work: ``handler(item)`` runs on a worker.
+Task = Tuple[Callable[[Any], None], Any]
 
 
 class PoolOverloadedError(RuntimeError):
@@ -26,13 +32,23 @@ class ThreadPool:
     worker.  Exceptions escaping a handler are routed to
     ``error_handler`` (default: stored on :attr:`last_error` and
     counted) so one bad request never kills a worker thread.
+
+    ``take``, if given, is where an idle worker waits instead of the
+    queue: ``take(queued)`` blocks until it has a task for this worker
+    and returns it, or returns ``None`` to send the worker to its queue
+    (``queued()`` says whether the queue holds work or the pool is shut
+    down).  A taken task never passes through the queue, so it counts
+    toward neither :attr:`queue_length` nor the ``max_queue`` bound,
+    and a worker waiting in ``take`` is :attr:`spare`.
     """
 
     def __init__(self, name: str, size: int,
                  worker_init: Optional[Callable[[], None]] = None,
                  worker_cleanup: Optional[Callable[[], None]] = None,
                  error_handler: Optional[Callable[[BaseException, Any], None]] = None,
-                 max_queue: Optional[int] = None):
+                 max_queue: Optional[int] = None,
+                 take: Optional[Callable[[Callable[[], bool]],
+                                         Optional[Task]]] = None):
         if size < 1:
             raise ValueError(f"pool {name!r} size must be >= 1, got {size}")
         if max_queue is not None and max_queue < 1:
@@ -54,6 +70,7 @@ class ThreadPool:
         self._worker_init = worker_init
         self._worker_cleanup = worker_cleanup
         self._error_handler = error_handler
+        self._take = take
         self._shutdown = False
         self.tasks_completed = 0
         self.errors = 0
@@ -113,15 +130,21 @@ class ThreadPool:
             except Exception as exc:  # pragma: no cover - startup failure
                 self._record_error(exc, None)
                 return
+        take = self._take
         try:
             while True:
-                task = self._queue.get()
-                if task is _SHUTDOWN:
-                    return
+                task = take(self._has_work) if take is not None else None
+                if task is None:
+                    task = self._queue.get()
+                    if task is _SHUTDOWN:
+                        return
+                    with self._lock:
+                        self._waiting -= 1
+                        self._busy += 1
+                else:
+                    with self._lock:
+                        self._busy += 1
                 handler, item = task
-                with self._lock:
-                    self._waiting -= 1
-                    self._busy += 1
                 try:
                     handler(item)
                     self.tasks_completed += 1
@@ -137,9 +160,14 @@ class ThreadPool:
                 except Exception:  # pragma: no cover - best-effort cleanup
                     pass
 
+    def _has_work(self) -> bool:
+        """Whether a worker should read the queue rather than ``take``."""
+        return self._waiting > 0 or self._shutdown
+
     def _record_error(self, exc: BaseException, item: Any) -> None:
         self.errors += 1
         self.last_error = exc
+        _log.error("pool %r: a task raised", self.name, exc_info=exc)
         if self._error_handler is not None:
             try:
                 self._error_handler(exc, item)

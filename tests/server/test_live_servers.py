@@ -10,6 +10,7 @@ from repro.db.pool import ConnectionPool
 from repro.http.client import http_request
 from repro.server.app import Application
 from repro.server.baseline import BaselineServer
+from repro.server.resources import LeaseStrategy
 from repro.server.staged import StagedServer
 from repro.templates.engine import TemplateEngine
 
@@ -346,6 +347,46 @@ class TestKeepAliveBothServers:
                     break
                 data += chunk
         assert data.count(b"pre-rendered") == 2
+
+
+class TestStopLeavesNothingBehind:
+    @pytest.mark.parametrize("strategy", list(LeaseStrategy))
+    @pytest.mark.parametrize("kind", ["baseline", "staged"])
+    def test_stop_joins_every_server_thread(self, kind, strategy):
+        """Start, serve a keep-alive and a pipelined request, stop: no
+        thread the server started survives, twice in one process (as a
+        benchmark's repeated set-ups do)."""
+        import socket
+
+        request = b"GET /legacy HTTP/1.1\r\nHost: x\r\n\r\n"
+        for _ in range(2):
+            before = set(threading.enumerate())
+            app, database = build_app()
+            if kind == "baseline":
+                server = BaselineServer(app, ConnectionPool(database, 2),
+                                        lease_strategy=strategy)
+            else:
+                server = StagedServer(app, ConnectionPool(database, 8),
+                                      policy=small_staged_policy(),
+                                      lease_strategy=strategy)
+            server.start()
+            with socket.create_connection(server.address, timeout=5) as sock:
+                try:
+                    sock.sendall(request)
+                    assert b"pre-rendered" in _read_one_response(sock)
+                    sock.sendall(request + request)
+                    data = b""
+                    while data.count(b"pre-rendered") < 2:
+                        chunk = sock.recv(65536)
+                        assert chunk, "connection closed early"
+                        data += chunk
+                finally:
+                    # Stopped with the keep-alive connection parked.
+                    server.stop()
+            left = [thread for thread in threading.enumerate()
+                    if thread not in before and thread.is_alive()]
+            assert left == []
+            assert server.reactor.parked_count == 0
 
 
 def _eventually(read, timeout: float = 5.0):

@@ -1,11 +1,12 @@
 """ThreadPool tests: queueing, spare counting, error isolation."""
 
+import queue
 import threading
 import time
 
 import pytest
 
-from repro.server.pools import ThreadPool
+from repro.server.pools import PoolOverloadedError, ThreadPool
 
 
 class TestBasics:
@@ -264,3 +265,83 @@ class TestSubmitRaces:
             assert len(outcomes) == 80
             with pytest.raises(RuntimeError):
                 pool.submit(lambda _x: None, None)
+
+
+class _Feed:
+    """Stands in for the reactor's ``take``: hands each waiting worker
+    the next task put here, or ``None`` (read your queue)."""
+
+    def __init__(self, log=None):
+        self._tasks = queue.SimpleQueue()
+        self.waiting = threading.Semaphore(0)
+        self._log = log if log is not None else []
+
+    def take(self, queued):
+        if queued():
+            return None
+        self._log.append("take")
+        self.waiting.release()
+        return self._tasks.get()
+
+    def put(self, task):
+        self._tasks.put(task)
+
+
+class TestTakenTasks:
+    def test_taken_task_skips_the_queue_and_its_bound(self):
+        feed = _Feed()
+        pool = ThreadPool("t", 2, max_queue=1, take=feed.take)
+        running = threading.Event()
+        release = threading.Event()
+        seen = []
+
+        def hold(_item):
+            seen.append((pool.busy, pool.queue_length))
+            running.set()
+            release.wait(timeout=5)
+
+        try:
+            for _ in range(2):
+                assert feed.waiting.acquire(timeout=5)
+            # Both workers wait in take(): spare, not busy.
+            assert (pool.spare, pool.busy, pool.queue_length) == (2, 0, 0)
+            feed.put((hold, "taken"))
+            assert running.wait(timeout=5)
+            assert seen == [(1, 0)]
+            # The taken task holds no slot of max_queue.
+            ran = threading.Event()
+            pool.submit(lambda _x: ran.set(), None)
+            with pytest.raises(PoolOverloadedError):
+                pool.submit(lambda _x: None, None)
+            assert pool.queue_length == 1
+            # None from take sends the other worker to its queue.
+            feed.put(None)
+            assert ran.wait(timeout=5)
+            assert pool.queue_length == 0
+        finally:
+            release.set()
+            feed.put(None)
+            feed.put(None)
+            pool.shutdown()
+        assert pool.tasks_completed == 2
+
+    def test_worker_with_queued_work_does_not_take(self):
+        log = []
+        feed = _Feed(log)
+        pool = ThreadPool("t", 1, take=feed.take)
+        gate = threading.Event()
+        second = threading.Event()
+        try:
+            assert feed.waiting.acquire(timeout=5)
+            # One taken task holds the worker while two queue behind it.
+            feed.put((lambda _x: (log.append("taken"),
+                                  gate.wait(timeout=5)), None))
+            pool.submit(log.append, 1)
+            pool.submit(lambda item: (log.append(item), second.set()), 2)
+            gate.set()
+            assert second.wait(timeout=5)
+            # The worker went back to take() only once its queue was empty.
+            assert log[:4] == ["take", "taken", 1, 2]
+        finally:
+            feed.put(None)
+            pool.shutdown()

@@ -7,9 +7,12 @@ import time
 
 import pytest
 
+from repro.http.response import HTTPResponse
 from repro.server.netbase import ClientConnection
-from repro.server.pools import PoolOverloadedError
+from repro.server.pipeline import Complete, Pipeline, Stage
+from repro.server.pools import PoolOverloadedError, ThreadPool
 from repro.server.reactor import ConnectionReactor
+from repro.server.stats import ServerStats
 
 
 def _pair():
@@ -61,6 +64,31 @@ class _CountingSocket:
 
     def close(self):
         self._sock.close()
+
+
+class _Taker:
+    """One thread in ``reactor.take``; ``waiting`` is set from inside the
+    queue check, under the reactor lock, just before it counts as a
+    taker and polls."""
+
+    def __init__(self, reactor):
+        self.waiting = threading.Event()
+        self.result = []
+        self._thread = threading.Thread(target=self._run, args=(reactor,))
+        self._thread.start()
+        assert self.waiting.wait(timeout=5)
+
+    def _check(self):
+        self.waiting.set()
+        return False
+
+    def _run(self, reactor):
+        self.result.append(reactor.take(self._check))
+
+    def join(self):
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        return self.result[0]
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -272,7 +300,8 @@ class TestLifecycle:
     def test_gauges_shape(self):
         reactor = ConnectionReactor(lambda c: None)
         assert reactor.gauges() == {
-            "parked": 0, "dispatched": 0, "idle_reaped": 0, "sheds": 0,
+            "parked": 0, "dispatched": 0, "taken": 0, "queued": 0,
+            "idle_reaped": 0, "sheds": 0,
         }
         reactor.stop()
 
@@ -449,3 +478,209 @@ class TestConcurrency:
                     for client, connection in row:
                         client.close()
                         connection.close()
+
+
+class TestTakers:
+    """Entry workers wait on the epoll set; the reactor thread stands by."""
+
+    def test_taker_pops_a_ready_connection(self):
+        queued = []
+        reactor = ConnectionReactor(queued.append).start()
+        client, connection = _pair()
+        try:
+            taker = _Taker(reactor)
+            reactor.park(connection)
+            client.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            assert taker.join() is connection
+            assert queued == []
+            assert reactor.gauges() == {
+                "parked": 0, "dispatched": 1, "taken": 1, "queued": 0,
+                "idle_reaped": 0, "sheds": 0,
+            }
+        finally:
+            reactor.stop()
+            client.close()
+            connection.close()
+
+    def test_saturated_entry_stage_goes_through_the_queue(self):
+        # No worker in take(): the standby pops and queues.
+        event = threading.Event()
+        reactor = ConnectionReactor(lambda c: event.set()).start()
+        client, connection = _pair()
+        try:
+            reactor.park(connection)
+            client.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            assert event.wait(timeout=5)
+            gauges = reactor.gauges()
+            assert (gauges["taken"], gauges["queued"]) == (0, 1)
+            assert gauges["dispatched"] == gauges["taken"] + gauges["queued"]
+        finally:
+            reactor.stop()
+            client.close()
+            connection.close()
+
+    def test_queue_is_checked_under_the_lock_before_taking(self):
+        reactor = ConnectionReactor(lambda c: None)
+        held = []
+
+        def queued():
+            held.append(reactor._lock.locked())
+            return True
+
+        try:
+            assert reactor.take(queued) is None
+            assert held == [True]
+            assert reactor._takers == 0
+        finally:
+            reactor.stop()
+
+    def test_standby_hands_a_pop_back_while_a_taker_waits(self):
+        # The standby's poll and a taker's can both be in epoll_wait;
+        # whichever the kernel wakes, a taker gets the connection and
+        # the queue stays empty.  Driven on this thread: a taker is
+        # counted, the standby's event handler runs, then the taker
+        # polls.
+        queued = []
+        reactor = ConnectionReactor(queued.append)
+        client, connection = _socketpair()
+        try:
+            reactor.park(connection)
+            client.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            reactor._takers = 1
+            events = reactor._epoll.poll(5)
+            assert [fd for fd, _ in events] == [connection.fileno()]
+            reactor._on_standby_events(events)
+            assert queued == []
+            assert reactor.parked_count == 1
+            reactor._takers = 0
+            # Handed back re-armed: the next poll reports it at once.
+            assert reactor.take(lambda: False) is connection
+            assert reactor.gauges()["taken"] == 1
+            assert reactor.gauges()["queued"] == 0
+        finally:
+            reactor.stop()
+            client.close()
+            connection.close()
+
+    def test_pipelined_park_wakes_a_waiting_taker(self):
+        served = []
+        done = threading.Event()
+
+        def handler(connection):
+            served.append(connection)
+            done.set()
+
+        reactor = ConnectionReactor(lambda c: pool.submit(handler, c))
+        wake = reactor._wake_w = _CountingSocket(reactor._wake_w)
+        entered = threading.Event()
+
+        def take(queued):
+            def check():
+                entered.set()
+                return queued()
+            connection = reactor.take(check)
+            return None if connection is None else (handler, connection)
+
+        pool = ThreadPool("entry", 1, take=take)
+        client, connection = _pipelined()
+        try:
+            assert entered.wait(timeout=5)  # the one worker is a taker
+            reactor.park(connection)
+            # Queued, not taken, and the sleeping taker woke for it.
+            assert done.wait(timeout=5)
+            assert served == [connection]
+            assert wake.sends == 1
+            assert (reactor.taken, reactor.queued) == (0, 1)
+        finally:
+            reactor.stop()
+            pool.shutdown()
+            client.close()
+            connection.close()
+
+    def test_stop_returns_every_taker_before_closing(self):
+        # Not started: no standby to join, so only stop()'s own wait
+        # holds the close back until the takers are out.
+        reactor = ConnectionReactor(lambda c: None)
+        takers = [_Taker(reactor) for _ in range(3)]
+        reactor.stop()
+        assert reactor._takers == 0
+        assert [taker.join() for taker in takers] == [None] * 3
+        assert reactor._wake_r.fileno() == -1
+        # A worker arriving after stop goes straight to its queue.
+        assert reactor.take(lambda: False) is None
+
+    def test_reaped_socket_is_closed_by_the_poller_not_reused(self):
+        # The standby reaps while a taker waits: the taker, not the
+        # reaper, closes the reaped socket, and it keeps waiting.
+        reactor = ConnectionReactor(lambda c: None, idle_timeout=0.2).start()
+        client, connection = _pair()
+        try:
+            taker = _Taker(reactor)
+            reactor.park(connection)
+            client.settimeout(5)
+            assert client.recv(1) == b""  # the reap's shutdown
+            assert _wait_until(lambda: connection.closed)
+            assert reactor.idle_reaped == 1
+            assert taker.result == []
+        finally:
+            reactor.stop()
+            assert taker.join() is None
+            client.close()
+
+    def test_stale_event_never_pops_a_connection_parked_after_a_reap(self):
+        # A poller may hold a socket's readiness when the reap runs.
+        # The reaped fd stays allocated until that event is consumed,
+        # so a new connection cannot reuse its number and be popped
+        # unready.
+        queued = []
+        reactor = ConnectionReactor(queued.append)
+        old_client, old = _socketpair()
+        new_client = new = None
+        try:
+            reactor.park(old)
+            old_client.sendall(b"x")
+            events = reactor._epoll.poll(5)
+            reactor._reap_idle(time.monotonic() + 60)
+            new_client, new = _socketpair()
+            reactor.park(new)
+            reactor._on_standby_events(events)
+            assert queued == []
+            assert old.closed
+            assert reactor.parked_count == 1
+            assert reactor.idle_reaped == 1
+        finally:
+            reactor.stop()
+            for sock in (old_client, old, new_client, new):
+                if sock is not None:
+                    sock.close()
+
+    def test_taken_job_has_no_queue_wait(self):
+        jobs = []
+        parked = threading.Event()
+
+        def header(job):
+            job.request = job.client.read_request()
+            jobs.append(job)
+            return Complete(HTTPResponse.html("ok"))
+
+        stats = ServerStats()
+        reactor = ConnectionReactor(lambda c: pipeline.dispatch(c))
+        pipeline = Pipeline([Stage("header", 1, header)], stats=stats,
+                            clock=stats.clock,
+                            on_park=lambda c: parked.set(), reactor=reactor)
+        client, connection = _pair()
+        try:
+            reactor.park(connection)
+            sent_at = stats.clock.now()
+            client.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            assert parked.wait(timeout=5)
+            job, = jobs
+            assert job.lifecycle.hops[0].queue_wait == 0.0
+            assert job.arrival >= sent_at
+            assert pipeline.pool("header").queue_length == 0
+            assert reactor.taken == 1
+        finally:
+            reactor.stop()
+            pipeline.shutdown()
+            client.close()
+            connection.close()
